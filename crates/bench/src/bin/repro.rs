@@ -1,16 +1,17 @@
 //! `repro` — regenerates every table and figure of the paper and writes
 //! EXPERIMENTS.md with paper-vs-measured comparisons.
 //!
-//! Usage: `cargo run -p sixscope-bench --bin repro --release [-- [scale] [--timing] [--chunk N]]`
+//! Usage: `cargo run -p sixscope-bench --bin repro --release [-- [scale] [--timing] [--chunk N] [--shards K]]`
 //!
 //! With `--timing`, prints a per-stage wall-clock breakdown (generate,
 //! deliver, streaming, sessionize, index build, tables, figures) plus the
 //! process peak RSS and writes it to BENCH_repro.json for machine
 //! consumption.
 
+use sixscope::cli::Flags;
 use sixscope::json::Json;
 use sixscope::sim::ScenarioConfig;
-use sixscope::Pipeline;
+use sixscope::{Error, Pipeline};
 use sixscope_bench::report::{figures_section, tables_section};
 use sixscope_bench::{comparisons_markdown, peak_rss_kib, take_comparisons, SEED};
 use std::fmt::Write as _;
@@ -18,7 +19,7 @@ use std::time::Instant;
 
 /// Prints a pipeline error (with its cause chain) and exits with the
 /// error's CLI exit code.
-fn fail(err: &sixscope::Error) -> ! {
+fn fail(err: &Error) -> ! {
     eprintln!("repro: {err}");
     let mut source = std::error::Error::source(err);
     while let Some(cause) = source {
@@ -28,45 +29,32 @@ fn fail(err: &sixscope::Error) -> ! {
     std::process::exit(err.exit_code() as i32);
 }
 
-fn main() {
+/// Parses `[scale] [--timing] [--chunk N] [--shards K]`. Anything else —
+/// an unknown flag, a scale that is not a number, a missing, zero or
+/// non-numeric count — is a usage error (exit 2).
+fn parse_args(args: &[String]) -> Result<(f64, bool, Option<usize>, Option<usize>), Error> {
+    let flags = Flags::parse(args, &["timing", "chunk", "shards"])?;
     let mut scale = sixscope_bench::SCALE;
-    let mut timing = false;
-    let mut chunk: Option<usize> = None;
-    let mut shards: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--timing" {
-            timing = true;
-        } else if arg == "--chunk" {
-            // Streaming chunk size — output must be byte-identical at any
-            // value (the CI equivalence check drives this).
-            let value = args.next().unwrap_or_default();
-            match value.parse() {
-                Ok(0) | Err(_) => {
-                    eprintln!("invalid --chunk value {value:?} (need a record count ≥ 1)");
-                    std::process::exit(2);
-                }
-                Ok(n) => chunk = Some(n),
-            }
-        } else if arg == "--shards" {
-            // Scatter the corpus over K shard files per telescope and
-            // gather them back — output must be byte-identical to the
-            // in-process run (the CI equivalence check drives this).
-            let value = args.next().unwrap_or_default();
-            match value.parse() {
-                Ok(0) | Err(_) => {
-                    eprintln!("invalid --shards value {value:?} (need a shard count ≥ 1)");
-                    std::process::exit(2);
-                }
-                Ok(n) => shards = Some(n),
-            }
-        } else if let Ok(s) = arg.parse::<f64>() {
-            scale = s;
-        } else {
-            eprintln!("usage: repro [scale] [--timing] [--chunk N] [--shards K]");
-            std::process::exit(2);
-        }
+    for arg in flags.positional() {
+        scale = arg
+            .parse()
+            .map_err(|_| Error::Usage(format!("scale must be a number, got {arg:?}")))?;
     }
+    // Streaming chunk size and shard-file count: output must be
+    // byte-identical at any value (the CI equivalence checks drive both).
+    let shards = match flags.parsed("shards")? {
+        Some(0) => return Err(Error::Usage("--shards must be at least 1".into())),
+        other => other,
+    };
+    Ok((scale, flags.is_true("timing"), flags.chunk()?, shards))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (scale, timing, chunk, shards) = parse_args(&args).unwrap_or_else(|err| {
+        eprintln!("usage: repro [scale] [--timing] [--chunk N] [--shards K]");
+        fail(&err)
+    });
     let threads = sixscope_types::num_threads(None);
     eprintln!(
         "running experiment: seed={SEED} scale={scale} (paper = 1.0), {threads} worker thread(s) …"

@@ -1,8 +1,9 @@
 //! Shared command-line flag handling for the `sixscope` binary.
 //!
 //! The parser is hand-rolled (no CLI dependency): flags are `--name value`
-//! pairs — except the valueless booleans (`--json`) — and everything else
-//! is positional. Every subcommand parses through [`Flags::parse`] with an
+//! pairs — except the valueless booleans (`--json`, `--timing`) — and
+//! everything else is positional. Every subcommand, and the `repro`
+//! binary, parses through [`Flags::parse`] with an
 //! explicit allow-list, so unknown flags fail the same way everywhere
 //! (`unknown flag --x (expected one of: …)`), missing values fail the same
 //! way everywhere (`flag --x needs a value`), and `--threads N` is
@@ -14,7 +15,7 @@ use sixscope_telescope::IngestStats;
 use sixscope_types::THREADS_ENV;
 
 /// Flags that take no value: present means `true`.
-const VALUELESS: &[&str] = &["json"];
+const VALUELESS: &[&str] = &["json", "timing"];
 
 /// JSON rendering of one [`IngestStats`] — shared by the binary's
 /// `ingest`/`analyze` summaries and the serve daemon's checkpoints.

@@ -2,16 +2,13 @@
 //! columnar corpus index and metadata join helpers.
 
 use crate::index::CorpusIndex;
-use crate::pipeline::FeedConsumer;
+use crate::pipeline::StreamSettings;
 use sixscope_analysis::classify::ScannerProfile;
-use sixscope_sim::{CompiledVisibility, ExperimentResult};
-use sixscope_telescope::{
-    Capture, Feed, ScanSession, SimFeed, SourceKey, TelescopeId, SESSION_TIMEOUT,
-};
-use sixscope_types::{map_indexed, num_threads, AsInfo, Asn, PrefixTrie, SimDuration, SimTime};
+use sixscope_sim::ExperimentResult;
+use sixscope_telescope::{Capture, ScanSession, SourceKey, TelescopeId};
+use sixscope_types::{AsInfo, Asn, PrefixTrie, SimTime};
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
-use std::time::Instant;
 
 /// Wall-clock seconds of the analysis stages in [`Analyzed::from_result`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -25,29 +22,6 @@ pub struct AnalysisTimings {
     pub sessionize: f64,
     /// The index shard-merge and finalize ([`CorpusIndex::from_shards`]).
     pub index_build: f64,
-}
-
-/// Chunking and eviction knobs of the streaming analysis;
-/// [`crate::Pipeline`] fills this from its builder methods. The defaults
-/// reproduce the batch behavior (one big chunk, the paper's 1-hour
-/// timeout).
-pub(crate) struct StreamSettings {
-    /// Packets fed per chunk.
-    pub chunk_records: usize,
-    /// Session idle timeout (the eviction horizon).
-    pub session_timeout: SimDuration,
-    /// Worker threads (`None` defers to `SIXSCOPE_THREADS`).
-    pub threads: Option<usize>,
-}
-
-impl Default for StreamSettings {
-    fn default() -> Self {
-        StreamSettings {
-            chunk_records: usize::MAX,
-            session_timeout: SESSION_TIMEOUT,
-            threads: None,
-        }
-    }
 }
 
 /// Experiment output with sessions, scanner profiles and metadata joins.
@@ -72,79 +46,14 @@ pub struct Analyzed {
 
 impl Analyzed {
     /// Builds the corpus from a finished experiment — the batch path,
-    /// expressed as one-big-chunk streaming through [`Analyzed::stream`].
+    /// expressed as one-big-chunk streaming through the pipeline's
+    /// simulated-capture lanes.
     pub fn from_result(result: ExperimentResult) -> Analyzed {
-        Self::stream(result, &StreamSettings::default())
+        crate::pipeline::analyze_result(result, &StreamSettings::default())
     }
 
-    /// Builds the corpus by driving each capture through a [`SimFeed`] into
-    /// a [`FeedConsumer`] (incremental sessionizers at /128 and /64 plus an
-    /// index-shard accumulator), then merging the shards into the
-    /// [`CorpusIndex`] — the same consumer the pcap and live paths use.
-    ///
-    /// The four per-telescope feeds are independent pure functions of
-    /// their capture, so they run on worker threads (`SIXSCOPE_THREADS`
-    /// caps them; 1 forces serial); results are keyed by telescope, so
-    /// scheduling cannot affect output, and chunk boundaries are invisible
-    /// (DESIGN.md §10) — any `chunk_records` yields byte-identical output.
-    pub(crate) fn stream(result: ExperimentResult, settings: &StreamSettings) -> Analyzed {
-        let threads = num_threads(settings.threads);
-        let stream_start = Instant::now();
-        let compiled = CompiledVisibility::compile(&result.visibility);
-        let fed = map_indexed(threads, &TelescopeId::ALL, |_, id| {
-            let capture = &result.captures[id];
-            let mut feed = SimFeed::new(capture, settings.chunk_records);
-            let mut consumer = FeedConsumer::new(feed.sources_hint(), settings);
-            loop {
-                let chunk = feed.next_chunk().expect("sim feeds cannot fail");
-                consumer.consume(capture, chunk.range, &compiled);
-                if chunk.end_of_feed {
-                    break;
-                }
-            }
-            // Simulated captures are produced in time order, so the
-            // incremental state is final as-is.
-            let done = consumer.finish_in_order();
-            (
-                done.sessions128,
-                done.sessions64,
-                done.shard,
-                done.sessionize,
-                done.peak,
-            )
-        });
-        let streaming = stream_start.elapsed().as_secs_f64();
-        let mut sessions128 = BTreeMap::new();
-        let mut sessions64 = BTreeMap::new();
-        let mut shards = BTreeMap::new();
-        let mut sessionize = 0.0;
-        let mut peak_open_sessions = 0;
-        for (id, (s128, s64, shard, secs, peak)) in TelescopeId::ALL.into_iter().zip(fed) {
-            sessions128.insert(id, s128);
-            sessions64.insert(id, s64);
-            shards.insert(id, shard);
-            sessionize += secs;
-            peak_open_sessions = peak_open_sessions.max(peak);
-        }
-        let index_start = Instant::now();
-        let index = CorpusIndex::from_shards(&result, shards, &sessions128, &sessions64, threads);
-        let index_build = index_start.elapsed().as_secs_f64();
-        Self::assemble(
-            result,
-            sessions128,
-            sessions64,
-            index,
-            AnalysisTimings {
-                streaming,
-                sessionize,
-                index_build,
-            },
-            peak_open_sessions,
-        )
-    }
-
-    /// Final assembly (builds the AS join trie); shared by the streaming
-    /// constructor above and [`crate::Pipeline`]'s pcap path.
+    /// Final assembly (builds the AS join trie) — the last step of the
+    /// pipeline's one gather.
     pub(crate) fn assemble(
         result: ExperimentResult,
         sessions128: BTreeMap<TelescopeId, Vec<ScanSession>>,

@@ -25,11 +25,19 @@
 //! file-backed and evictable. Chunk boundaries are invisible (DESIGN.md
 //! §10): any `chunk_records` and any thread count produce byte-identical
 //! tables and figures.
+//!
+//! Every input — a simulation, pcaps, shard files, and the `serve`
+//! daemon's live tail or replay — takes one path from here to a corpus. A
+//! `Lane` drains its [`Feed`] into a `FeedConsumer`; each telescope ends
+//! as one `Drained` state (a [`TelescopeShard`] plus sessionizer
+//! statistics); and one `gather` folds the states into a base
+//! [`ExperimentResult`] and builds the [`Analyzed`] corpus (DESIGN.md §10,
+//! §13, §14).
 
-use crate::corpus::{AnalysisTimings, Analyzed, StreamSettings};
+use crate::corpus::{AnalysisTimings, Analyzed};
 use crate::index::{CorpusIndex, IndexShard};
 use crate::ingest::passive_config;
-use crate::shardfile::{merge_group, read_shard, write_shard, TelescopeShard};
+use crate::shardfile::{merge_group, read_groups, write_shard, TelescopeShard};
 use crate::Error;
 use sixscope_scanners::population::Population;
 use sixscope_scanners::ExperimentLayout;
@@ -38,10 +46,10 @@ use sixscope_sim::{
     Visibility,
 };
 use sixscope_telescope::{
-    AggLevel, Capture, Feed, IncrementalSessionizer, IngestStats, PcapFeed, ScanSession,
+    AggLevel, Capture, Feed, FeedError, IncrementalSessionizer, IngestStats, PcapFeed, SimFeed,
     SplitSchedule, TelescopeConfig, TelescopeId, SESSION_TIMEOUT,
 };
-use sixscope_types::{num_threads, Ipv6Prefix, SimDuration, SimTime};
+use sixscope_types::{map_indexed, num_threads, Ipv6Prefix, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::PathBuf;
@@ -181,11 +189,7 @@ impl Pipeline {
     /// Runs the pipeline and additionally returns stage timings and (for
     /// the pcap path) recovery statistics.
     pub fn run_detailed(self) -> Result<PipelineOutput, Error> {
-        let settings = StreamSettings {
-            chunk_records: self.chunk_records,
-            session_timeout: self.session_timeout,
-            threads: self.threads,
-        };
+        let settings = self.settings();
         match self.source {
             Source::Simulate(mut config) => {
                 if self.threads.is_some() {
@@ -193,15 +197,39 @@ impl Pipeline {
                 }
                 let (result, sim) = Scenario::new(config).run_timed();
                 Ok(PipelineOutput {
-                    analyzed: Analyzed::stream(result, &settings),
+                    analyzed: analyze_result(result, &settings),
                     sim,
                     ingest: 0.0,
                     stats: IngestStats::default(),
                     file_stats: Vec::new(),
                 })
             }
-            Source::Pcaps { paths, prefix } => stream_pcaps(&paths, prefix, &settings),
-            Source::Shards(paths) => stream_shards(&paths, &settings),
+            Source::Pcaps { paths, prefix } => {
+                let ingest_start = Instant::now();
+                let (state, file_stats) = ingest_pcaps(&paths, prefix, &settings)?;
+                Ok(gathered_output(
+                    vec![state],
+                    file_stats,
+                    ingest_start,
+                    &settings,
+                ))
+            }
+            Source::Shards(paths) => {
+                if paths.is_empty() {
+                    return Err(Error::Usage(
+                        "merge requires at least one .sixshard file".into(),
+                    ));
+                }
+                // Each telescope's shards, in path order, are merged exactly
+                // as the streaming path absorbs in-process chunks.
+                let ingest_start = Instant::now();
+                let (groups, file_stats) = read_groups(&paths)?;
+                let states = groups
+                    .into_values()
+                    .map(merge_group)
+                    .collect::<Result<Vec<_>, Error>>()?;
+                Ok(gathered_output(states, file_stats, ingest_start, &settings))
+            }
         }
     }
 
@@ -210,50 +238,68 @@ impl Pipeline {
     /// the pcap source can scatter; simulated and shard sources are
     /// [`Error::Usage`].
     pub fn to_shard<P: AsRef<std::path::Path>>(self, out: P) -> Result<ShardOutput, Error> {
-        let settings = StreamSettings {
-            chunk_records: self.chunk_records,
-            session_timeout: self.session_timeout,
-            threads: self.threads,
+        let settings = self.settings();
+        let Source::Pcaps { paths, prefix } = self.source else {
+            return Err(Error::Usage(
+                "shard export requires a pcap source (Pipeline::from_pcaps)".into(),
+            ));
         };
-        let (paths, prefix) = match self.source {
-            Source::Pcaps { paths, prefix } => (paths, prefix),
-            _ => {
-                return Err(Error::Usage(
-                    "shard export requires a pcap source (Pipeline::from_pcaps)".into(),
-                ))
-            }
-        };
-        let ing = ingest_pcaps(&paths, prefix, &settings)?;
-        let shard = TelescopeShard {
-            capture: ing.capture,
-            session_timeout: settings.session_timeout,
-            stats: ing.stats.clone(),
-            sessions128: ing.sessions128,
-            sessions64: ing.sessions64,
-            index: ing.shard,
-        };
+        let (state, file_stats) = ingest_pcaps(&paths, prefix, &settings)?;
+        let shard = state.shard;
         write_shard(out.as_ref(), &shard)?;
         Ok(ShardOutput {
             packets: shard.capture.len(),
             sessions128: shard.sessions128.len(),
             sessions64: shard.sessions64.len(),
-            stats: ing.stats,
-            file_stats: ing.file_stats,
+            stats: shard.stats,
+            file_stats,
         })
+    }
+
+    fn settings(&self) -> StreamSettings {
+        StreamSettings {
+            chunk_records: self.chunk_records,
+            session_timeout: self.session_timeout,
+            threads: self.threads,
+        }
     }
 }
 
-/// One telescope's fully ingested state: what the scatter side writes to a
-/// shard file and what the in-process path feeds straight to the merge.
-struct IngestedTelescope {
-    capture: Capture,
-    sessions128: Vec<ScanSession>,
-    sessions64: Vec<ScanSession>,
-    shard: IndexShard,
-    sessionize: f64,
-    peak: usize,
-    stats: IngestStats,
-    file_stats: Vec<(String, IngestStats)>,
+/// Chunking and eviction knobs of the streaming analysis;
+/// [`Pipeline`] and `serve` fill this from their options. The defaults
+/// reproduce the batch behavior (one big chunk, the paper's 1-hour
+/// timeout).
+pub(crate) struct StreamSettings {
+    /// Packets fed per chunk.
+    pub chunk_records: usize,
+    /// Session idle timeout (the eviction horizon).
+    pub session_timeout: SimDuration,
+    /// Worker threads (`None` defers to `SIXSCOPE_THREADS`).
+    pub threads: Option<usize>,
+}
+
+impl Default for StreamSettings {
+    fn default() -> Self {
+        StreamSettings {
+            chunk_records: usize::MAX,
+            session_timeout: SESSION_TIMEOUT,
+            threads: None,
+        }
+    }
+}
+
+/// One telescope's drained state, whatever the input: the shard contents
+/// (capture, statistics, sessions at /128 and /64, index piece) plus the
+/// sessionizers' cost and live-memory high-water mark. Every path hands
+/// these to [`gather`].
+#[derive(Debug)]
+pub(crate) struct Drained {
+    /// What a `.sixshard` file of this telescope would hold.
+    pub shard: TelescopeShard,
+    /// Seconds spent pushing packets into the sessionizers.
+    pub sessionize: f64,
+    /// High-water mark of the open-session tables.
+    pub peak: usize,
 }
 
 /// The stateful half of a feed-driven ingest: incremental sessionizers at
@@ -264,11 +310,10 @@ struct IngestedTelescope {
 /// or a simulated capture. If the feed ever delivers packets out of time
 /// order (live feeds admit in-horizon disorder; finite feeds simply
 /// reflect their files) the incremental state is abandoned and
-/// [`FeedConsumer::finish`] falls back to sort + re-feed — the
-/// bounded-memory property is lost but the output contract
-/// (byte-identical to batch) is kept. A snapshotting caller checks
-/// [`FeedConsumer::is_sorted`] and clones either the live state or a
-/// sorted copy of the capture.
+/// [`FeedConsumer::finish`] and [`FeedConsumer::snapshot`] fall back to
+/// sort + re-feed — the bounded-memory property is lost but the output
+/// contract (byte-identical to batch) is kept.
+#[derive(Clone)]
 pub(crate) struct FeedConsumer {
     s128: IncrementalSessionizer,
     s64: IncrementalSessionizer,
@@ -280,66 +325,25 @@ pub(crate) struct FeedConsumer {
     chunk_records: usize,
 }
 
-/// What a drained [`FeedConsumer`] hands to the gather stage.
-pub(crate) struct ConsumedFeed {
-    pub sessions128: Vec<ScanSession>,
-    pub sessions64: Vec<ScanSession>,
-    pub shard: IndexShard,
-    pub sessionize: f64,
-    pub peak: usize,
-}
-
 impl FeedConsumer {
+    /// Fresh state; `sources_hint` pre-sizes the open-session tables
+    /// (capacity never affects output).
     pub(crate) fn new(sources_hint: usize, settings: &StreamSettings) -> FeedConsumer {
+        let timeout = settings.session_timeout;
         FeedConsumer {
-            s128: IncrementalSessionizer::with_capacity(
-                AggLevel::Addr128,
-                settings.session_timeout,
-                sources_hint,
-            ),
-            s64: IncrementalSessionizer::with_capacity(
-                AggLevel::Subnet64,
-                settings.session_timeout,
-                sources_hint,
-            ),
+            s128: IncrementalSessionizer::with_capacity(AggLevel::Addr128, timeout, sources_hint),
+            s64: IncrementalSessionizer::with_capacity(AggLevel::Subnet64, timeout, sources_hint),
             shard: IndexShard::new(),
             sessionize: 0.0,
             sorted: true,
-            timeout: settings.session_timeout,
+            timeout,
             sources_hint,
-            chunk_records: settings.chunk_records,
+            chunk_records: settings.chunk_records.max(1),
         }
     }
 
-    /// True while the incremental state still mirrors the capture (no
-    /// out-of-order packet has been seen).
-    pub(crate) fn is_sorted(&self) -> bool {
-        self.sorted
-    }
-
-    /// High-water mark of the open-session tables.
-    pub(crate) fn peak_open(&self) -> usize {
-        self.s128.peak_open().max(self.s64.peak_open())
-    }
-
-    /// Open + closed session counts at /128 and /64 (snapshot statistics).
-    pub(crate) fn session_counts(&self) -> (usize, usize) {
-        (self.s128.sessions().len(), self.s64.sessions().len())
-    }
-
-    /// Clones the incremental state for a checkpoint. Only meaningful
-    /// while [`FeedConsumer::is_sorted`]; an unsorted consumer's state is
-    /// stale by construction.
-    pub(crate) fn snapshot(&self) -> (Vec<ScanSession>, Vec<ScanSession>, IndexShard) {
-        (
-            self.s128.sessions().to_vec(),
-            self.s64.sessions().to_vec(),
-            self.shard.clone(),
-        )
-    }
-
     /// Feeds the capture packets `range` (one feed chunk) into the
-    /// incremental state.
+    /// incremental state, unless disorder has been seen.
     pub(crate) fn consume(
         &mut self,
         capture: &Capture,
@@ -349,20 +353,30 @@ impl FeedConsumer {
         if range.is_empty() || !self.sorted {
             return;
         }
-        let packets = capture.packets();
         // Include the boundary with the previous chunk in the order check.
         let boundary = range.start.saturating_sub(1);
-        if packets[boundary..range.end]
+        if capture.packets()[boundary..range.end]
             .windows(2)
             .any(|w| w[0].ts > w[1].ts)
         {
-            // Out-of-order input: abandon the incremental feed and fall
-            // back to sort + re-stream at finish time.
+            // Out-of-order input: abandon the incremental feed; finish and
+            // snapshot re-feed a sorted capture instead.
             self.sorted = false;
             return;
         }
+        self.push_range(capture, range, compiled);
+    }
+
+    /// Sessionizes and indexes `range` of an in-order capture — the one
+    /// place packets enter the sessionizers and the index accumulator.
+    fn push_range(
+        &mut self,
+        capture: &Capture,
+        range: Range<usize>,
+        compiled: &CompiledVisibility,
+    ) {
         let push_start = Instant::now();
-        for (i, p) in packets[range.clone()].iter().enumerate() {
+        for (i, p) in capture.packets()[range.clone()].iter().enumerate() {
             let idx = (range.start + i) as u32;
             self.s128.push(idx, p);
             self.s64.push(idx, p);
@@ -373,259 +387,280 @@ impl FeedConsumer {
         self.shard.absorb(piece);
     }
 
-    /// Closes the consumer. If disorder was seen, sorts the capture and
-    /// re-feeds fresh state over the sorted order — chunk boundaries are
-    /// invisible (DESIGN.md §10), so this equals the batch path byte for
-    /// byte.
-    pub(crate) fn finish(
-        mut self,
-        capture: &mut Capture,
-        compiled: &CompiledVisibility,
-    ) -> ConsumedFeed {
-        if !self.sorted {
-            capture.sort_by_time();
-            let push_start = Instant::now();
-            let (s128, s64, shard) = sessionize_sorted(
-                capture,
-                self.timeout,
-                self.sources_hint,
-                self.chunk_records,
-                compiled,
-            );
-            self.s128 = s128;
-            self.s64 = s64;
-            self.shard = shard;
-            self.sessionize = push_start.elapsed().as_secs_f64();
-            self.sorted = true;
+    /// Fresh state fed the whole time-sorted `capture` in `chunk_records`
+    /// chunks — chunk boundaries are invisible (DESIGN.md §10), so this
+    /// equals the batch path byte for byte.
+    fn refeed(&self, capture: &Capture, compiled: &CompiledVisibility) -> FeedConsumer {
+        let settings = StreamSettings {
+            chunk_records: self.chunk_records,
+            session_timeout: self.timeout,
+            threads: None,
+        };
+        let mut fresh = FeedConsumer::new(self.sources_hint, &settings);
+        let n = capture.len();
+        for start in (0..n).step_by(self.chunk_records) {
+            let end = start.saturating_add(self.chunk_records).min(n);
+            fresh.push_range(capture, start..end, compiled);
         }
-        self.finish_in_order()
+        fresh
     }
 
-    /// Closes the consumer without a fallback path, for feeds whose source
-    /// guarantees time order (simulated captures).
-    pub(crate) fn finish_in_order(self) -> ConsumedFeed {
-        debug_assert!(self.sorted, "in-order finish over a disordered feed");
-        let peak = self.peak_open();
-        ConsumedFeed {
-            sessions128: self.s128.finish(),
-            sessions64: self.s64.finish(),
-            shard: self.shard,
+    /// Closes the consumer over its (now owned) capture. If disorder was
+    /// seen, the capture is sorted and re-fed first.
+    pub(crate) fn finish(
+        self,
+        mut capture: Capture,
+        stats: IngestStats,
+        compiled: &CompiledVisibility,
+    ) -> Drained {
+        let state = if self.sorted {
+            self
+        } else {
+            capture.sort_by_time();
+            self.refeed(&capture, compiled)
+        };
+        state.close(capture, stats)
+    }
+
+    /// A checkpoint of the first `revealed` packets of `capture` (the
+    /// prefix this consumer has seen): a copy of the live state, or, once
+    /// disorder was seen, a sorted re-feed of a copy of the prefix.
+    pub(crate) fn snapshot(
+        &self,
+        capture: &Capture,
+        revealed: usize,
+        stats: IngestStats,
+        compiled: &CompiledVisibility,
+    ) -> Drained {
+        let mut prefix = Capture::restore(
+            capture.config().clone(),
+            capture.packets()[..revealed].to_vec(),
+            capture.filtered(),
+            capture.malformed(),
+        );
+        let state = if self.sorted {
+            self.clone()
+        } else {
+            prefix.sort_by_time();
+            self.refeed(&prefix, compiled)
+        };
+        state.close(prefix, stats)
+    }
+
+    fn close(self, capture: Capture, stats: IngestStats) -> Drained {
+        let peak = self.s128.peak_open().max(self.s64.peak_open());
+        Drained {
+            shard: TelescopeShard {
+                capture,
+                session_timeout: self.timeout,
+                stats,
+                sessions128: self.s128.finish(),
+                sessions64: self.s64.finish(),
+                index: self.shard,
+            },
             sessionize: self.sessionize,
             peak,
         }
     }
 }
 
-/// Feeds an already time-sorted capture through fresh incremental state in
-/// `chunk_records` chunks. Shared by the out-of-order fallback and the
-/// serve snapshotter's unsorted path.
-pub(crate) fn sessionize_sorted(
-    capture: &Capture,
-    timeout: SimDuration,
-    sources_hint: usize,
-    chunk_records: usize,
-    compiled: &CompiledVisibility,
-) -> (IncrementalSessionizer, IncrementalSessionizer, IndexShard) {
-    let mut s128 = IncrementalSessionizer::with_capacity(AggLevel::Addr128, timeout, sources_hint);
-    let mut s64 = IncrementalSessionizer::with_capacity(AggLevel::Subnet64, timeout, sources_hint);
-    let mut shard = IndexShard::new();
-    let n = capture.len();
-    let mut start = 0;
-    while start < n {
-        let end = start.saturating_add(chunk_records).min(n);
-        for (i, p) in capture.packets()[start..end].iter().enumerate() {
-            let idx = (start + i) as u32;
-            s128.push(idx, p);
-            s64.push(idx, p);
-        }
-        let mut piece = IndexShard::new();
-        piece.push_range(capture, start..end, compiled);
-        shard.absorb(piece);
-        start = end;
-    }
-    (s128, s64, shard)
+/// One telescope's way through the pipeline: a [`Feed`] and the
+/// [`FeedConsumer`] it drives. [`Lane::step`] is the one drain step every
+/// path repeats — the batch paths until the feed ends, the serve daemon
+/// one round at a time between checkpoints.
+pub(crate) struct Lane<F> {
+    pub feed: F,
+    pub consumer: FeedConsumer,
+    /// Packets revealed so far: `feed.capture().packets()[..revealed]`.
+    pub revealed: usize,
+    /// The highest watermark any chunk reported.
+    pub watermark: SimTime,
+    /// The feed reported `end_of_feed`.
+    pub ended: bool,
 }
 
-/// The streaming pcap ingest, now phrased over [`PcapFeed`]: the feed maps
-/// each file (buffered fallback included) and appends borrowed record
-/// views to the capture; the [`FeedConsumer`] sessionizes and indexes each
-/// chunk before the next one is cut, so the only per-record heap traffic
-/// is the retained packets themselves.
-fn ingest_pcaps(
-    paths: &[PathBuf],
-    prefix: Ipv6Prefix,
-    settings: &StreamSettings,
-) -> Result<IngestedTelescope, Error> {
-    let visibility = Visibility::from_events(&[]);
-    let compiled = CompiledVisibility::compile(&visibility);
-    let mut feed = PcapFeed::new(
-        Capture::new(passive_config(prefix)),
-        paths.iter().cloned(),
-        settings.chunk_records,
-    );
-    let mut consumer = FeedConsumer::new(feed.sources_hint(), settings);
-    loop {
-        let chunk = feed.next_chunk()?;
-        consumer.consume(feed.capture(), chunk.range.clone(), &compiled);
-        if chunk.end_of_feed {
-            break;
+impl<F: Feed> Lane<F> {
+    pub(crate) fn new(feed: F, settings: &StreamSettings) -> Lane<F> {
+        Lane {
+            consumer: FeedConsumer::new(feed.sources_hint(), settings),
+            feed,
+            revealed: 0,
+            watermark: SimTime::EPOCH,
+            ended: false,
         }
     }
-    let (mut capture, stats, file_stats) = feed.finish();
-    let done = consumer.finish(&mut capture, &compiled);
-    Ok(IngestedTelescope {
-        capture,
-        sessions128: done.sessions128,
-        sessions64: done.sessions64,
-        shard: done.shard,
-        sessionize: done.sessionize,
-        peak: done.peak,
-        stats,
-        file_stats,
-    })
+
+    /// Pulls one chunk off the feed into the consumer.
+    pub(crate) fn step(&mut self, compiled: &CompiledVisibility) -> Result<(), FeedError> {
+        let chunk = self.feed.next_chunk()?;
+        self.revealed = chunk.range.end;
+        self.consumer
+            .consume(self.feed.capture(), chunk.range, compiled);
+        self.watermark = self.watermark.max(chunk.watermark);
+        self.ended = chunk.end_of_feed;
+        Ok(())
+    }
+
+    /// Pulls the feed to its end.
+    pub(crate) fn drain(&mut self, compiled: &CompiledVisibility) -> Result<(), FeedError> {
+        while !self.ended {
+            self.step(compiled)?;
+        }
+        Ok(())
+    }
+
+    /// A checkpoint of everything revealed so far (see
+    /// [`FeedConsumer::snapshot`]).
+    pub(crate) fn snapshot(&self, compiled: &CompiledVisibility) -> Drained {
+        self.consumer.snapshot(
+            self.feed.capture(),
+            self.revealed,
+            self.feed.stats(),
+            compiled,
+        )
+    }
 }
 
-/// The in-process pcap path: ingest into one telescope, then gather it
-/// exactly as the shard-file merge gathers its telescopes.
-fn stream_pcaps(
-    paths: &[PathBuf],
-    prefix: Ipv6Prefix,
-    settings: &StreamSettings,
-) -> Result<PipelineOutput, Error> {
-    let ingest_start = Instant::now();
-    let ing = ingest_pcaps(paths, prefix, settings)?;
-    let ingest = ingest_start.elapsed().as_secs_f64();
-    let mut merged = BTreeMap::new();
-    let id = ing.capture.config().id;
-    merged.insert(
-        id,
-        (ing.capture, ing.sessions128, ing.sessions64, ing.shard),
-    );
-    assemble_gathered(
-        merged,
-        ingest,
-        ing.sessionize,
-        ing.peak,
-        ing.stats,
-        ing.file_stats,
-        settings,
-    )
-}
-
-/// The gather side of federated sharding: reads every `.sixshard` file,
-/// groups them by telescope in path order, merges each group exactly as
-/// the streaming path absorbs in-process chunks, and assembles the corpus.
-fn stream_shards(paths: &[PathBuf], settings: &StreamSettings) -> Result<PipelineOutput, Error> {
-    if paths.is_empty() {
-        return Err(Error::Usage(
-            "merge requires at least one .sixshard file".into(),
-        ));
-    }
-    let ingest_start = Instant::now();
-    let mut groups: BTreeMap<TelescopeId, Vec<(String, TelescopeShard)>> = BTreeMap::new();
-    let mut file_stats = Vec::with_capacity(paths.len());
-    for path in paths {
-        let display = path.display().to_string();
-        let shard = read_shard(path)?;
-        file_stats.push((display.clone(), shard.stats.clone()));
-        groups
-            .entry(shard.capture.config().id)
-            .or_default()
-            .push((display, shard));
-    }
-    let mut total = IngestStats::default();
-    let mut merged = BTreeMap::new();
-    for (id, group) in groups {
-        let m = merge_group(group)?;
-        total.absorb(&m.stats);
-        merged.insert(id, (m.capture, m.sessions128, m.sessions64, m.index));
-    }
-    let ingest = ingest_start.elapsed().as_secs_f64();
-    assemble_gathered(merged, ingest, 0.0, 0, total, file_stats, settings)
-}
-
-/// The gather half shared by the in-process pcap path and the shard-file
-/// merge: wraps the merged telescopes into an [`ExperimentResult`], builds
-/// the corpus index, and assembles the final [`Analyzed`]. Telescopes with
-/// no capture are filled in empty, so both paths produce the same corpus
-/// shape from the same packets.
-#[allow(clippy::type_complexity)]
-pub(crate) fn assemble_gathered(
-    merged: BTreeMap<TelescopeId, (Capture, Vec<ScanSession>, Vec<ScanSession>, IndexShard)>,
-    ingest: f64,
-    sessionize: f64,
-    peak: usize,
-    stats: IngestStats,
-    file_stats: Vec<(String, IngestStats)>,
-    settings: &StreamSettings,
-) -> Result<PipelineOutput, Error> {
-    let mut present = BTreeMap::new();
+/// The one gather: folds per-telescope drained states into `base` (each
+/// state's capture replaces the base's), builds the corpus index and
+/// assembles the [`Analyzed`] corpus. Telescopes without a state keep the
+/// base's capture with no sessions and an empty index piece, so every
+/// input path yields the same corpus shape from the same packets.
+pub(crate) fn gather(
+    mut base: ExperimentResult,
+    states: Vec<Drained>,
+    streaming: f64,
+    threads: usize,
+) -> Analyzed {
     let mut sessions128 = BTreeMap::new();
     let mut sessions64 = BTreeMap::new();
     let mut shards = BTreeMap::new();
-    for (id, (capture, s128, s64, shard)) in merged {
-        present.insert(id, capture);
-        sessions128.insert(id, s128);
-        sessions64.insert(id, s64);
-        shards.insert(id, shard);
+    let mut sessionize = 0.0;
+    let mut peak = 0;
+    for Drained {
+        shard,
+        sessionize: secs,
+        peak: p,
+    } in states
+    {
+        let id = shard.capture.config().id;
+        base.captures.insert(id, shard.capture);
+        sessions128.insert(id, shard.sessions128);
+        sessions64.insert(id, shard.sessions64);
+        shards.insert(id, shard.index);
+        sessionize += secs;
+        peak = peak.max(p);
     }
     for id in TelescopeId::ALL {
         sessions128.entry(id).or_default();
         sessions64.entry(id).or_default();
         shards.entry(id).or_insert_with(IndexShard::new);
     }
-
-    let result = gathered_result(present, Visibility::from_events(&[]));
     let index_start = Instant::now();
+    let index = CorpusIndex::from_shards(&base, shards, &sessions128, &sessions64, threads);
+    let timings = AnalysisTimings {
+        streaming,
+        sessionize,
+        index_build: index_start.elapsed().as_secs_f64(),
+    };
+    Analyzed::assemble(base, sessions128, sessions64, index, timings, peak)
+}
+
+/// The simulated path: each capture drains through a [`SimFeed`] lane,
+/// then the four states are gathered back into `result`.
+///
+/// The four drains are independent pure functions of their capture, so
+/// they run on worker threads (`SIXSCOPE_THREADS` caps them; 1 forces
+/// serial); results are keyed by telescope, so scheduling cannot affect
+/// output, and chunk boundaries are invisible (DESIGN.md §10) — any
+/// `chunk_records` yields byte-identical output.
+pub(crate) fn analyze_result(mut result: ExperimentResult, settings: &StreamSettings) -> Analyzed {
     let threads = num_threads(settings.threads);
-    let index = CorpusIndex::from_shards(&result, shards, &sessions128, &sessions64, threads);
-    let index_build = index_start.elapsed().as_secs_f64();
-    let analyzed = Analyzed::assemble(
-        result,
-        sessions128,
-        sessions64,
-        index,
-        AnalysisTimings {
-            streaming: ingest,
-            sessionize,
-            index_build,
-        },
-        peak,
-    );
-    Ok(PipelineOutput {
-        analyzed,
+    let stream_start = Instant::now();
+    let compiled = CompiledVisibility::compile(&result.visibility);
+    let consumers = map_indexed(threads, &TelescopeId::ALL, |_, id| {
+        let feed = SimFeed::new(&result.captures[id], settings.chunk_records);
+        let mut lane = Lane::new(feed, settings);
+        lane.drain(&compiled).expect("sim feeds cannot fail");
+        lane.consumer
+    });
+    let streaming = stream_start.elapsed().as_secs_f64();
+    let states = TelescopeId::ALL
+        .into_iter()
+        .zip(consumers)
+        .map(|(id, consumer)| {
+            let capture = result
+                .captures
+                .remove(&id)
+                .expect("one capture per telescope");
+            consumer.finish(capture, IngestStats::default(), &compiled)
+        })
+        .collect();
+    gather(result, states, streaming, threads)
+}
+
+/// The streaming pcap ingest: a [`PcapFeed`] maps each file (buffered
+/// fallback included) and appends borrowed record views to the capture;
+/// the lane's consumer sessionizes and indexes each chunk before the next
+/// one is cut, so the only per-record heap traffic is the retained packets
+/// themselves.
+fn ingest_pcaps(
+    paths: &[PathBuf],
+    prefix: Ipv6Prefix,
+    settings: &StreamSettings,
+) -> Result<(Drained, Vec<(String, IngestStats)>), Error> {
+    let compiled = CompiledVisibility::compile(&Visibility::from_events(&[]));
+    let capture = Capture::new(passive_config(prefix));
+    let feed = PcapFeed::new(capture, paths.iter().cloned(), settings.chunk_records);
+    let mut lane = Lane::new(feed, settings);
+    lane.drain(&compiled)?;
+    let (capture, stats, file_stats) = lane.feed.finish();
+    Ok((lane.consumer.finish(capture, stats, &compiled), file_stats))
+}
+
+/// The pcap and shard paths' gather: their telescopes go into a
+/// [`gathered_result`], and their recovery statistics are summed.
+fn gathered_output(
+    states: Vec<Drained>,
+    file_stats: Vec<(String, IngestStats)>,
+    ingest_start: Instant,
+    settings: &StreamSettings,
+) -> PipelineOutput {
+    let ingest = ingest_start.elapsed().as_secs_f64();
+    let mut stats = IngestStats::default();
+    for state in &states {
+        stats.absorb(&state.shard.stats);
+    }
+    let threads = num_threads(settings.threads);
+    PipelineOutput {
+        analyzed: gather(gathered_result(), states, ingest, threads),
         sim: ScenarioTimings::default(),
         ingest,
         stats,
         file_stats,
-    })
+    }
 }
 
-/// Wraps gathered captures into the [`ExperimentResult`] shape the
-/// analysis layer consumes: telescopes without a capture get an empty one,
-/// and all simulation-only metadata (events, population, hitlist) is
-/// empty.
-pub(crate) fn gathered_result(
-    mut present: BTreeMap<TelescopeId, Capture>,
-    visibility: Visibility,
-) -> ExperimentResult {
+/// The [`ExperimentResult`] shape the analysis layer consumes, for
+/// captures that did not come from a simulation: every telescope has an
+/// empty capture (the gather replaces those it has states for), and all
+/// simulation-only metadata (events, population, hitlist) is empty.
+pub(crate) fn gathered_result() -> ExperimentResult {
     let mut layout = ExperimentLayout::default_plan();
     layout.start = SimTime::EPOCH + SimDuration::days(1);
     let schedule = SplitSchedule::paper(layout.t1, layout.start);
     layout.end = schedule.end();
+    let visibility = Visibility::from_events(&[]);
     let hitlist = TumHitlist::build(&[], &visibility);
-    let mut captures = BTreeMap::new();
-    for id in TelescopeId::ALL {
-        let capture = present.remove(&id).unwrap_or_else(|| {
-            Capture::new(match id {
-                TelescopeId::T1 => TelescopeConfig::t1(layout.t1),
-                TelescopeId::T2 => TelescopeConfig::t2(layout.t2),
-                TelescopeId::T3 => TelescopeConfig::t3(layout.t3),
-                TelescopeId::T4 => TelescopeConfig::t4(layout.t4),
-            })
-        });
-        captures.insert(id, capture);
-    }
+    let captures = [
+        TelescopeConfig::t1(layout.t1),
+        TelescopeConfig::t2(layout.t2),
+        TelescopeConfig::t3(layout.t3),
+        TelescopeConfig::t4(layout.t4),
+    ]
+    .into_iter()
+    .map(|config| (config.id, Capture::new(config)))
+    .collect();
     ExperimentResult {
         layout,
         schedule,

@@ -1,9 +1,9 @@
 //! `sixscope serve` — the live telescope daemon.
 //!
-//! A long-running loop that drives a [`Feed`] (a growing pcap via
-//! [`TailFeed`], or a simulated experiment via [`SimFeed`]) through the
-//! same [`FeedConsumer`] the batch pipeline uses, and checkpoints the
-//! analysis as it goes:
+//! A long-running loop that drives [`Feed`]s (one growing pcap via
+//! [`TailFeed`], or the four captures of a simulated experiment via
+//! [`SimFeed`]) through the same lanes, consumer and gather the batch
+//! pipeline uses, and checkpoints the analysis as it goes:
 //!
 //! * **Snapshots** — every `--snapshot-every N` revealed records the
 //!   current report is written to `--out DIR` as `snapshot-NNNNNN.md`
@@ -15,21 +15,20 @@
 //!   a final checkpoint, and exits cleanly (exit code 0).
 //!
 //! The final checkpoint over a finished pcap is byte-identical to batch
-//! `sixscope analyze` over the same file (and, for `--sim`, to the
-//! pipeline's [`Analyzed::stream`]): the daemon's incremental state *is*
-//! the batch state once the feed drains, and disorder falls back to the
-//! same sort-and-re-feed path (DESIGN.md §10, §14).
+//! `sixscope analyze` over the same file (and, for `--sim`, to
+//! `sixscope run` over the same scenario): the daemon's incremental state
+//! *is* the batch state once the feeds drain, and disorder falls back to
+//! the same sort-and-re-feed path (DESIGN.md §10, §14).
 
-use crate::corpus::{AnalysisTimings, Analyzed, StreamSettings};
-use crate::index::{CorpusIndex, IndexShard};
+use crate::corpus::Analyzed;
 use crate::ingest::passive_config;
 use crate::json::Json;
-use crate::pipeline::{assemble_gathered, sessionize_sorted, FeedConsumer};
+use crate::pipeline::{gather, gathered_result, Drained, FeedConsumer, Lane, StreamSettings};
 use crate::{render, tables, Error};
 use sixscope_analysis::classify::{addr_selection, profile_scanners};
 use sixscope_sim::{CompiledVisibility, ExperimentResult, Scenario, ScenarioConfig, Visibility};
 use sixscope_telescope::{
-    Capture, Feed, IngestStats, ScanSession, SimFeed, TailFeed, TelescopeId, SESSION_TIMEOUT,
+    Capture, Feed, IngestStats, SimFeed, TailFeed, TelescopeId, SESSION_TIMEOUT,
 };
 use sixscope_types::{num_threads, Ipv6Prefix, SimTime};
 use std::collections::BTreeMap;
@@ -193,36 +192,6 @@ impl StatusSink {
     }
 }
 
-/// One checkpoint's statistics, for the status line.
-struct Checkpoint<'a> {
-    event: &'a str,
-    snapshot: usize,
-    packets: usize,
-    sessions128: usize,
-    sessions64: usize,
-    peak_open: usize,
-    late: u64,
-    stats: &'a IngestStats,
-    watermark: SimTime,
-}
-
-impl Checkpoint<'_> {
-    fn json(&self) -> Json {
-        Json::obj([
-            ("event", Json::s(self.event.to_string())),
-            ("snapshot", Json::u(self.snapshot as u64)),
-            ("packets", Json::u(self.packets as u64)),
-            ("sessions_128", Json::u(self.sessions128 as u64)),
-            ("sessions_64", Json::u(self.sessions64 as u64)),
-            ("peak_open_sessions", Json::u(self.peak_open as u64)),
-            ("late_records", Json::u(self.late)),
-            ("skipped", Json::u(self.stats.skipped_total())),
-            ("truncated_tail", Json::Bool(self.stats.truncated_tail)),
-            ("watermark", Json::u(self.watermark.as_secs())),
-        ])
-    }
-}
-
 /// Writes one checkpoint atomically: the report goes to a temp file in
 /// `dir`, is renamed to `snapshot-NNNNNN.md`, and the same bytes are then
 /// renamed over `latest.md`. Readers only ever see complete files.
@@ -353,243 +322,81 @@ pub fn tables_report(analyzed: &Analyzed, json: bool) -> String {
 }
 
 /// Runs the daemon to completion (feed drained, or SIGTERM/SIGINT).
+///
+/// Both modes run one loop over their lanes — one [`TailFeed`] for a
+/// pcap, four [`SimFeed`]s (T1–T4) for a simulation — and checkpoint
+/// through one writer. They differ in the base result the lane states are
+/// gathered into, the renderer, and whether the round that ends the feeds
+/// can still snapshot.
 pub fn serve(opts: ServeOptions) -> Result<ServeSummary, Error> {
     install_signal_handlers();
-    let mut status = StatusSink::new(opts.status_fd);
-    match &opts.source {
-        ServeSource::Pcap(path) => serve_pcap(&opts, &path.clone(), &mut status),
-        ServeSource::Sim { seed, scale } => serve_sim(&opts, *seed, *scale, &mut status),
-    }
-}
-
-fn settings_of(opts: &ServeOptions) -> StreamSettings {
-    StreamSettings {
+    let settings = StreamSettings {
         chunk_records: opts.chunk_records,
         session_timeout: SESSION_TIMEOUT,
         threads: opts.threads,
-    }
-}
-
-/// One telescope's sessionized state, ready to assemble into a report.
-struct PcapState {
-    capture: Capture,
-    sessions128: Vec<ScanSession>,
-    sessions64: Vec<ScanSession>,
-    shard: IndexShard,
-    peak: usize,
-}
-
-/// Assembles and renders the pcap-mode report from one telescope's state.
-fn render_pcap_state(
-    state: PcapState,
-    stats: &IngestStats,
-    settings: &StreamSettings,
-    json: bool,
-) -> Result<String, Error> {
-    let mut merged = BTreeMap::new();
-    merged.insert(
-        state.capture.config().id,
-        (
-            state.capture,
-            state.sessions128,
-            state.sessions64,
-            state.shard,
-        ),
-    );
-    let out = assemble_gathered(
-        merged,
-        0.0,
-        0.0,
-        state.peak,
-        stats.clone(),
-        Vec::new(),
-        settings,
-    )?;
-    Ok(analysis_report(&out.analyzed, stats, json))
-}
-
-/// A mid-stream checkpoint of the live pcap feed: clone the admitted
-/// packets and either the live incremental state (in-order input) or a
-/// sorted re-feed of the clone (the batch fallback, applied to the prefix
-/// seen so far).
-fn pcap_snapshot_report(
-    capture: &Capture,
-    consumer: &FeedConsumer,
-    stats: &IngestStats,
-    settings: &StreamSettings,
-    compiled: &CompiledVisibility,
-    json: bool,
-) -> Result<String, Error> {
-    let mut restored = Capture::restore(
-        capture.config().clone(),
-        capture.packets().to_vec(),
-        capture.filtered(),
-        capture.malformed(),
-    );
-    let (sessions128, sessions64, shard, peak) = if consumer.is_sorted() {
-        let (s128, s64, shard) = consumer.snapshot();
-        (s128, s64, shard, consumer.peak_open())
-    } else {
-        restored.sort_by_time();
-        let hint = (restored.len() / 8).clamp(16, 1 << 16);
-        let (a, b, shard) = sessionize_sorted(
-            &restored,
-            settings.session_timeout,
-            hint,
-            settings.chunk_records,
-            compiled,
-        );
-        let peak = a.peak_open().max(b.peak_open());
-        (a.finish(), b.finish(), shard, peak)
     };
-    render_pcap_state(
-        PcapState {
-            capture: restored,
-            sessions128,
-            sessions64,
-            shard,
-            peak,
-        },
-        stats,
-        settings,
-        json,
-    )
-}
-
-fn serve_pcap(
-    opts: &ServeOptions,
-    path: &Path,
-    status: &mut StatusSink,
-) -> Result<ServeSummary, Error> {
-    let settings = settings_of(opts);
-    let visibility = Visibility::from_events(&[]);
-    let compiled = CompiledVisibility::compile(&visibility);
-    let mut feed = TailFeed::new(
-        Capture::new(passive_config(opts.prefix)),
-        path,
-        settings.chunk_records,
-        settings.session_timeout,
-    )
-    .poll_interval(Duration::from_millis(opts.poll_ms))
-    .quiesce_after(Duration::from_millis(opts.quiesce_ms));
-    let mut consumer = FeedConsumer::new(feed.sources_hint(), &settings);
-
-    let mut revealed: u64 = 0;
-    let mut next_snapshot = opts.snapshot_every;
-    let mut seq = 0usize;
-    loop {
-        if shutdown_requested() {
-            break;
-        }
-        let chunk = feed.next_chunk()?;
-        consumer.consume(feed.capture(), chunk.range.clone(), &compiled);
-        revealed += chunk.range.len() as u64;
-        if chunk.end_of_feed {
-            break;
-        }
-        while next_snapshot.is_some_and(|at| revealed >= at) {
-            seq += 1;
-            let stats = feed.stats();
-            let report = pcap_snapshot_report(
-                feed.capture(),
-                &consumer,
-                &stats,
-                &settings,
+    match &opts.source {
+        ServeSource::Pcap(path) => {
+            let compiled = CompiledVisibility::compile(&Visibility::from_events(&[]));
+            let feed = TailFeed::new(
+                Capture::new(passive_config(opts.prefix)),
+                path,
+                settings.chunk_records,
+                settings.session_timeout,
+            )
+            .poll_interval(Duration::from_millis(opts.poll_ms))
+            .quiesce_after(Duration::from_millis(opts.quiesce_ms));
+            let mut lanes = [Lane::new(feed, &settings)];
+            let mut daemon = Daemon::new(&opts, analysis_report, false);
+            let (late, watermark) = daemon.run(
+                &mut lanes,
                 &compiled,
-                opts.json,
+                &gathered_result,
+                TailFeed::late_records,
             )?;
-            write_snapshot(&opts.out_dir, seq, &report)?;
-            let (sessions128, sessions64) = consumer.session_counts();
-            status.emit(
-                &Checkpoint {
-                    event: "snapshot",
-                    snapshot: seq,
-                    packets: feed.capture().len(),
-                    sessions128,
-                    sessions64,
-                    peak_open: consumer.peak_open(),
-                    late: feed.late_records(),
-                    stats: &stats,
-                    watermark: feed.watermark(),
-                }
-                .json(),
-            );
-            next_snapshot = opts
-                .snapshot_every
-                .map(|every| revealed + every - revealed % every);
+            let [lane] = lanes;
+            let (capture, stats) = lane.feed.finish();
+            let state = lane.consumer.finish(capture, stats, &compiled);
+            daemon.finish(gathered_result(), vec![state], late, watermark)
+        }
+        ServeSource::Sim { seed, scale } => {
+            let mut config = ScenarioConfig::new(*seed, *scale);
+            config.threads = opts.threads;
+            let (mut result, _sim) = Scenario::new(config).run_timed();
+            let compiled = CompiledVisibility::compile(&result.visibility);
+            // The lanes borrow the captures; the rest of the result is the
+            // base every checkpoint is gathered into.
+            let captures = std::mem::take(&mut result.captures);
+            let mut lanes: Vec<_> = captures
+                .values()
+                .map(|capture| Lane::new(SimFeed::new(capture, settings.chunk_records), &settings))
+                .collect();
+            let render = |analyzed: &Analyzed, _: &IngestStats, json| tables_report(analyzed, json);
+            let mut daemon = Daemon::new(&opts, render, true);
+            let (late, watermark) =
+                daemon.run(&mut lanes, &compiled, &|| metadata_of(&result), |_| 0)?;
+            let consumers: Vec<FeedConsumer> =
+                lanes.into_iter().map(|lane| lane.consumer).collect();
+            let states = captures
+                .into_values()
+                .zip(consumers)
+                .map(|(capture, consumer)| {
+                    consumer.finish(capture, IngestStats::default(), &compiled)
+                })
+                .collect();
+            daemon.finish(result, states, late, watermark)
         }
     }
-
-    // Final checkpoint: once the feed has drained, this state is the batch
-    // state — byte-identical to `sixscope analyze` over the finished file.
-    let late = feed.late_records();
-    let watermark = feed.watermark();
-    let (mut capture, stats) = feed.finish();
-    let done = consumer.finish(&mut capture, &compiled);
-    seq += 1;
-    let packets = capture.len();
-    let (n128, n64) = (done.sessions128.len(), done.sessions64.len());
-    let peak = done.peak;
-    let report = render_pcap_state(
-        PcapState {
-            capture,
-            sessions128: done.sessions128,
-            sessions64: done.sessions64,
-            shard: done.shard,
-            peak: done.peak,
-        },
-        &stats,
-        &settings,
-        opts.json,
-    )?;
-    let latest = write_snapshot(&opts.out_dir, seq, &report)?;
-    status.emit(
-        &Checkpoint {
-            event: "final",
-            snapshot: seq,
-            packets,
-            sessions128: n128,
-            sessions64: n64,
-            peak_open: peak,
-            late,
-            stats: &stats,
-            watermark,
-        }
-        .json(),
-    );
-    Ok(ServeSummary {
-        snapshots: seq,
-        packets,
-        late_records: late,
-        latest,
-    })
 }
 
-/// Clones the experiment's metadata around partial captures: each
-/// telescope keeps only its first `revealed[id]` packets. The counters are
-/// carried over whole — they describe the run, not the reveal.
-fn partial_result(
-    result: &ExperimentResult,
-    revealed: &BTreeMap<TelescopeId, usize>,
-) -> ExperimentResult {
-    let mut captures = BTreeMap::new();
-    for id in TelescopeId::ALL {
-        let full = &result.captures[&id];
-        let k = revealed.get(&id).copied().unwrap_or(0);
-        captures.insert(
-            id,
-            Capture::restore(
-                full.config().clone(),
-                full.packets()[..k].to_vec(),
-                full.filtered(),
-                full.malformed(),
-            ),
-        );
-    }
+/// A copy of the simulated run's metadata around no captures — the base a
+/// mid-run checkpoint gathers its revealed prefixes into. The counters are
+/// carried over whole: they describe the run, not the reveal.
+fn metadata_of(result: &ExperimentResult) -> ExperimentResult {
     ExperimentResult {
         layout: result.layout.clone(),
         schedule: result.schedule.clone(),
-        captures,
+        captures: BTreeMap::new(),
         events: result.events.clone(),
         visibility: result.visibility.clone(),
         population: result.population.clone(),
@@ -600,162 +407,136 @@ fn partial_result(
     }
 }
 
-/// Assembles the corpus from per-telescope consumer state and renders the
-/// full-tables report.
-#[allow(clippy::type_complexity)]
-fn render_sim_state(
-    result: ExperimentResult,
-    fed: BTreeMap<TelescopeId, (Vec<ScanSession>, Vec<ScanSession>, IndexShard, usize)>,
-    threads: usize,
-    json: bool,
-) -> String {
-    let mut sessions128 = BTreeMap::new();
-    let mut sessions64 = BTreeMap::new();
-    let mut shards = BTreeMap::new();
-    let mut peak = 0usize;
-    for (id, (s128, s64, shard, p)) in fed {
-        sessions128.insert(id, s128);
-        sessions64.insert(id, s64);
-        shards.insert(id, shard);
-        peak = peak.max(p);
-    }
-    let index = CorpusIndex::from_shards(&result, shards, &sessions128, &sessions64, threads);
-    let analyzed = Analyzed::assemble(
-        result,
-        sessions128,
-        sessions64,
-        index,
-        AnalysisTimings::default(),
-        peak,
-    );
-    tables_report(&analyzed, json)
+/// The serve loop and its checkpoint writer, shared by both modes.
+struct Daemon<'o> {
+    opts: &'o ServeOptions,
+    status: StatusSink,
+    /// Checkpoints written so far.
+    seq: usize,
+    /// Report renderer: `analysis_report` for a pcap, `tables_report` for
+    /// a simulation.
+    render: fn(&Analyzed, &IngestStats, bool) -> String,
+    /// Whether the round that ends every lane can still write a snapshot.
+    checkpoint_closing_round: bool,
 }
 
-fn serve_sim(
-    opts: &ServeOptions,
-    seed: u64,
-    scale: f64,
-    status: &mut StatusSink,
-) -> Result<ServeSummary, Error> {
-    let settings = settings_of(opts);
-    let threads = num_threads(opts.threads);
-    let mut config = ScenarioConfig::new(seed, scale);
-    config.threads = opts.threads;
-    let (result, _sim) = Scenario::new(config).run_timed();
-    let compiled = CompiledVisibility::compile(&result.visibility);
-
-    let mut revealed: u64 = 0;
-    let mut next_snapshot = opts.snapshot_every;
-    let mut seq = 0usize;
-    let sim_stats = IngestStats::default();
-    let mut watermark = SimTime::EPOCH;
-    let fed: BTreeMap<TelescopeId, (Vec<ScanSession>, Vec<ScanSession>, IndexShard, usize)>;
-    {
-        let mut lanes: Vec<(TelescopeId, SimFeed<'_>, FeedConsumer, bool)> = TelescopeId::ALL
-            .into_iter()
-            .map(|id| {
-                let feed = SimFeed::new(&result.captures[&id], settings.chunk_records);
-                let consumer = FeedConsumer::new(feed.sources_hint(), &settings);
-                (id, feed, consumer, false)
-            })
-            .collect();
-        // Round-robin over the four telescopes, one chunk each per round,
-        // so checkpoints interleave the captures deterministically.
-        while !lanes.iter().all(|(_, _, _, done)| *done) && !shutdown_requested() {
-            for (_, feed, consumer, done) in &mut lanes {
-                if *done {
-                    continue;
-                }
-                let chunk = feed.next_chunk().expect("sim feeds cannot fail");
-                consumer.consume(feed.capture(), chunk.range.clone(), &compiled);
-                revealed += chunk.range.len() as u64;
-                watermark = watermark.max(chunk.watermark);
-                if chunk.end_of_feed {
-                    *done = true;
-                }
-            }
-            while next_snapshot.is_some_and(|at| revealed >= at) {
-                seq += 1;
-                let revealed_by: BTreeMap<TelescopeId, usize> = lanes
-                    .iter()
-                    .map(|(id, feed, _, _)| (*id, feed.revealed()))
-                    .collect();
-                let fed_now: BTreeMap<_, _> = lanes
-                    .iter()
-                    .map(|(id, _, consumer, _)| {
-                        let (s128, s64, shard) = consumer.snapshot();
-                        (*id, (s128, s64, shard, consumer.peak_open()))
-                    })
-                    .collect();
-                let report = render_sim_state(
-                    partial_result(&result, &revealed_by),
-                    fed_now,
-                    threads,
-                    opts.json,
-                );
-                write_snapshot(&opts.out_dir, seq, &report)?;
-                let (n128, n64, peak) = lanes.iter().fold((0, 0, 0), |(a, b, p), l| {
-                    let (x, y) = l.2.session_counts();
-                    (a + x, b + y, p.max(l.2.peak_open()))
-                });
-                status.emit(
-                    &Checkpoint {
-                        event: "snapshot",
-                        snapshot: seq,
-                        packets: revealed as usize,
-                        sessions128: n128,
-                        sessions64: n64,
-                        peak_open: peak,
-                        late: 0,
-                        stats: &sim_stats,
-                        watermark,
-                    }
-                    .json(),
-                );
-                next_snapshot = opts
-                    .snapshot_every
-                    .map(|every| revealed + every - revealed % every);
-            }
+impl Daemon<'_> {
+    fn new(
+        opts: &ServeOptions,
+        render: fn(&Analyzed, &IngestStats, bool) -> String,
+        checkpoint_closing_round: bool,
+    ) -> Daemon<'_> {
+        Daemon {
+            opts,
+            status: StatusSink::new(opts.status_fd),
+            seq: 0,
+            render,
+            checkpoint_closing_round,
         }
-        fed = lanes
-            .into_iter()
-            .map(|(id, _, consumer, _)| {
-                // Simulated captures are time-sorted, so the incremental
-                // state is final as-is.
-                let done = consumer.finish_in_order();
-                (
-                    id,
-                    (done.sessions128, done.sessions64, done.shard, done.peak),
-                )
-            })
-            .collect();
     }
 
-    seq += 1;
-    let (n128, n64, peak) = fed.values().fold((0, 0, 0), |(a, b, p), (s1, s2, _, pk)| {
-        (a + s1.len(), b + s2.len(), p.max(*pk))
-    });
-    let packets: usize = result.captures.values().map(Capture::len).sum();
-    let report = render_sim_state(result, fed, threads, opts.json);
-    let latest = write_snapshot(&opts.out_dir, seq, &report)?;
-    status.emit(
-        &Checkpoint {
-            event: "final",
-            snapshot: seq,
-            packets,
-            sessions128: n128,
-            sessions64: n64,
-            peak_open: peak,
-            late: 0,
-            stats: &sim_stats,
-            watermark,
+    /// The one serve loop: each round pulls one chunk from every lane that
+    /// has not ended (so a simulation's four captures interleave
+    /// deterministically), then checkpoints once `--snapshot-every` more
+    /// records are revealed. It stops when every lane has ended or a
+    /// shutdown signal arrives, and returns the late-record count and the
+    /// watermark for the final checkpoint.
+    ///
+    /// A simulated replay checks the round that ends it like any other, so
+    /// it can snapshot right before the final checkpoint. A pcap tail
+    /// never snapshots on the chunk that ends its feed: that closing drain
+    /// goes into the final checkpoint only.
+    fn run<F: Feed>(
+        &mut self,
+        lanes: &mut [Lane<F>],
+        compiled: &CompiledVisibility,
+        base: &dyn Fn() -> ExperimentResult,
+        late: fn(&F) -> u64,
+    ) -> Result<(u64, SimTime), Error> {
+        let progress = |lanes: &[Lane<F>]| {
+            let late_records = lanes.iter().map(|lane| late(&lane.feed)).sum();
+            let watermark = lanes.iter().map(|lane| lane.watermark).max();
+            (late_records, watermark.unwrap_or(SimTime::EPOCH))
+        };
+        let every = self.opts.snapshot_every;
+        let mut next_snapshot = every;
+        while !shutdown_requested() {
+            for lane in lanes.iter_mut().filter(|lane| !lane.ended) {
+                lane.step(compiled)?;
+            }
+            let ended = lanes.iter().all(|lane| lane.ended);
+            if ended && !self.checkpoint_closing_round {
+                break;
+            }
+            let revealed: u64 = lanes.iter().map(|lane| lane.revealed as u64).sum();
+            if next_snapshot.is_some_and(|at| revealed >= at) {
+                let states = lanes.iter().map(|lane| lane.snapshot(compiled)).collect();
+                let (late_records, watermark) = progress(lanes);
+                self.checkpoint("snapshot", base(), states, late_records, watermark)?;
+                next_snapshot = every.map(|every| revealed + every - revealed % every);
+            }
+            if ended {
+                break;
+            }
         }
-        .json(),
-    );
-    Ok(ServeSummary {
-        snapshots: seq,
-        packets,
-        late_records: 0,
-        latest,
-    })
+        Ok(progress(lanes))
+    }
+
+    /// Writes the final checkpoint. Once the feeds have drained, the lane
+    /// states are the batch states, so this is byte-identical to the batch
+    /// report over the same packets.
+    fn finish(
+        mut self,
+        base: ExperimentResult,
+        states: Vec<Drained>,
+        late_records: u64,
+        watermark: SimTime,
+    ) -> Result<ServeSummary, Error> {
+        let packets = states.iter().map(|state| state.shard.capture.len()).sum();
+        let latest = self.checkpoint("final", base, states, late_records, watermark)?;
+        Ok(ServeSummary {
+            snapshots: self.seq,
+            packets,
+            late_records,
+            latest,
+        })
+    }
+
+    /// Gathers `states` into `base`, writes the rendered report as the next
+    /// numbered snapshot plus `latest.md`, and emits one status line.
+    fn checkpoint(
+        &mut self,
+        event: &str,
+        base: ExperimentResult,
+        states: Vec<Drained>,
+        late_records: u64,
+        watermark: SimTime,
+    ) -> Result<PathBuf, Error> {
+        self.seq += 1;
+        let mut stats = IngestStats::default();
+        let (mut packets, mut sessions128, mut sessions64, mut peak) = (0, 0, 0, 0);
+        for state in &states {
+            stats.absorb(&state.shard.stats);
+            packets += state.shard.capture.len();
+            sessions128 += state.shard.sessions128.len();
+            sessions64 += state.shard.sessions64.len();
+            peak = peak.max(state.peak);
+        }
+        let analyzed = gather(base, states, 0.0, num_threads(self.opts.threads));
+        let report = (self.render)(&analyzed, &stats, self.opts.json);
+        let latest = write_snapshot(&self.opts.out_dir, self.seq, &report)?;
+        self.status.emit(&Json::obj([
+            ("event", Json::s(event.to_string())),
+            ("snapshot", Json::u(self.seq as u64)),
+            ("packets", Json::u(packets as u64)),
+            ("sessions_128", Json::u(sessions128 as u64)),
+            ("sessions_64", Json::u(sessions64 as u64)),
+            ("peak_open_sessions", Json::u(peak as u64)),
+            ("late_records", Json::u(late_records)),
+            ("skipped", Json::u(stats.skipped_total())),
+            ("truncated_tail", Json::Bool(stats.truncated_tail)),
+            ("watermark", Json::u(watermark.as_secs())),
+        ]));
+        Ok(latest)
+    }
 }

@@ -30,16 +30,16 @@
 //! ascending order and cover the table), which also makes the encoding
 //! canonical.
 
-use crate::corpus::{AnalysisTimings, Analyzed};
+use crate::corpus::Analyzed;
 use crate::error::Error;
-use crate::index::{encode_port, proto_code, CorpusIndex, IndexShard, NO_ID, PORT_NONE};
+use crate::index::{encode_port, proto_code, IndexShard, NO_ID, PORT_NONE};
+use crate::pipeline::{gather, Drained, FeedConsumer, StreamSettings};
 use sixscope_analysis::addrtype::classify;
 use sixscope_packet::MAX_RECORD_LEN;
 use sixscope_sim::{CompiledVisibility, ExperimentResult};
 use sixscope_telescope::{
-    AggLevel, Bytes, Capture, CapturedPacket, IncrementalSessionizer, IngestStats, Protocol,
-    ScanSession, SessionStitcher, SourceKey, TelescopeConfig, TelescopeId, TelescopeKind,
-    SESSION_TIMEOUT,
+    AggLevel, Bytes, Capture, CapturedPacket, IngestStats, Protocol, ScanSession, SessionStitcher,
+    SourceKey, TelescopeConfig, TelescopeId, TelescopeKind,
 };
 use sixscope_types::{chunk_ranges, num_threads, InternTable, Ipv6Prefix, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -1065,20 +1065,38 @@ pub fn write_shard<P: AsRef<Path>>(path: P, shard: &TelescopeShard) -> Result<()
 // ---------------------------------------------------------------------------
 // Scatter / gather
 
-/// One telescope's shards merged back together.
-#[derive(Debug)]
-pub(crate) struct MergedTelescope {
-    pub capture: Capture,
-    pub stats: IngestStats,
-    pub sessions128: Vec<ScanSession>,
-    pub sessions64: Vec<ScanSession>,
-    pub index: IndexShard,
+/// Reads every shard file and groups the shards by telescope, each group
+/// in path order. Also returns each file's ingest statistics, in path
+/// order.
+#[allow(clippy::type_complexity)]
+pub(crate) fn read_groups(
+    paths: &[PathBuf],
+) -> Result<
+    (
+        BTreeMap<TelescopeId, Vec<(String, TelescopeShard)>>,
+        Vec<(String, IngestStats)>,
+    ),
+    Error,
+> {
+    let mut groups: BTreeMap<TelescopeId, Vec<(String, TelescopeShard)>> = BTreeMap::new();
+    let mut file_stats = Vec::with_capacity(paths.len());
+    for path in paths {
+        let display = path.display().to_string();
+        let shard = read_shard(path)?;
+        file_stats.push((display.clone(), shard.stats.clone()));
+        groups
+            .entry(shard.capture.config().id)
+            .or_default()
+            .push((display, shard));
+    }
+    Ok((groups, file_stats))
 }
 
 /// Merges one telescope's shards, in the order given (which must be
-/// capture order). Configs and session timeouts must agree across the
-/// group; out-of-order shards yield [`Error::Analysis`].
-pub(crate) fn merge_group(shards: Vec<(String, TelescopeShard)>) -> Result<MergedTelescope, Error> {
+/// capture order), into its drained state. Configs and session timeouts
+/// must agree across the group; out-of-order shards yield
+/// [`Error::Analysis`].
+pub(crate) fn merge_group(shards: Vec<(String, TelescopeShard)>) -> Result<Drained, Error> {
     let first = &shards.first().expect("merge_group requires shards").1;
     let config = first.capture.config().clone();
     let timeout = first.session_timeout;
@@ -1117,12 +1135,18 @@ pub(crate) fn merge_group(shards: Vec<(String, TelescopeShard)>) -> Result<Merge
         malformed += shard.capture.malformed();
         packets.extend(shard.capture.into_packets());
     }
-    Ok(MergedTelescope {
+    let shard = TelescopeShard {
         capture: Capture::restore(config, packets, filtered, malformed),
+        session_timeout: timeout,
         stats,
         sessions128: st128.finish(),
         sessions64: st64.finish(),
         index,
+    };
+    Ok(Drained {
+        shard,
+        sessionize: 0.0,
+        peak: 0,
     })
 }
 
@@ -1142,6 +1166,7 @@ pub fn write_experiment_shards(
         source,
     })?;
     let compiled = CompiledVisibility::compile(&result.visibility);
+    let settings = StreamSettings::default();
     let mut paths = Vec::new();
     for id in TelescopeId::ALL {
         let capture = &result.captures[&id];
@@ -1152,15 +1177,6 @@ pub fn write_experiment_shards(
             ranges.push(0..0);
         }
         for (k, range) in ranges.into_iter().enumerate() {
-            let piece_packets = capture.packets()[range.clone()].to_vec();
-            let mut s128 = IncrementalSessionizer::new(AggLevel::Addr128, SESSION_TIMEOUT);
-            let mut s64 = IncrementalSessionizer::new(AggLevel::Subnet64, SESSION_TIMEOUT);
-            for (i, p) in piece_packets.iter().enumerate() {
-                s128.push(i as u32, p);
-                s64.push(i as u32, p);
-            }
-            let mut index = IndexShard::new();
-            index.push_range(capture, range, &compiled);
             // Capture-level counters ride on piece 0 only, so the merged
             // sums equal the original capture's counters.
             let (filtered, malformed) = if k == 0 {
@@ -1168,21 +1184,17 @@ pub fn write_experiment_shards(
             } else {
                 (0, 0)
             };
-            let shard = TelescopeShard {
-                capture: Capture::restore(
-                    capture.config().clone(),
-                    piece_packets,
-                    filtered,
-                    malformed,
-                ),
-                session_timeout: SESSION_TIMEOUT,
-                stats: IngestStats::default(),
-                sessions128: s128.finish(),
-                sessions64: s64.finish(),
-                index,
-            };
+            let piece = Capture::restore(
+                capture.config().clone(),
+                capture.packets()[range].to_vec(),
+                filtered,
+                malformed,
+            );
+            let mut consumer = FeedConsumer::new(0, &settings);
+            consumer.consume(&piece, 0..piece.len(), &compiled);
+            let state = consumer.finish(piece, IngestStats::default(), &compiled);
             let path = dir.join(format!("{id}-{k}.sixshard"));
-            write_shard(&path, &shard)?;
+            write_shard(&path, &state.shard)?;
             paths.push(path);
         }
     }
@@ -1195,47 +1207,26 @@ pub fn write_experiment_shards(
 /// four telescopes must be covered and each group's shards must arrive in
 /// capture order.
 pub fn merge_experiment(
-    mut result: ExperimentResult,
+    result: ExperimentResult,
     paths: &[PathBuf],
     threads: Option<usize>,
 ) -> Result<Analyzed, Error> {
-    let mut groups: BTreeMap<TelescopeId, Vec<(String, TelescopeShard)>> = BTreeMap::new();
-    for path in paths {
-        let shard = read_shard(path)?;
-        groups
-            .entry(shard.capture.config().id)
-            .or_default()
-            .push((path.display().to_string(), shard));
-    }
-    let mut sessions128 = BTreeMap::new();
-    let mut sessions64 = BTreeMap::new();
-    let mut shards = BTreeMap::new();
+    let (mut groups, _) = read_groups(paths)?;
+    let mut states = Vec::with_capacity(TelescopeId::ALL.len());
     for id in TelescopeId::ALL {
         let group = groups
             .remove(&id)
             .ok_or_else(|| Error::Analysis(format!("no shard file covers telescope {id}")))?;
-        let merged = merge_group(group)?;
-        if *merged.capture.config() != *result.captures[&id].config() {
+        let state = merge_group(group)?;
+        if *state.shard.capture.config() != *result.captures[&id].config() {
             return Err(Error::Analysis(format!(
                 "telescope {id}'s shards disagree with the experiment's \
                  configuration"
             )));
         }
-        result.captures.insert(id, merged.capture);
-        sessions128.insert(id, merged.sessions128);
-        sessions64.insert(id, merged.sessions64);
-        shards.insert(id, merged.index);
+        states.push(state);
     }
-    let threads = num_threads(threads);
-    let index = CorpusIndex::from_shards(&result, shards, &sessions128, &sessions64, threads);
-    Ok(Analyzed::assemble(
-        result,
-        sessions128,
-        sessions64,
-        index,
-        AnalysisTimings::default(),
-        0,
-    ))
+    Ok(gather(result, states, 0.0, num_threads(threads)))
 }
 
 #[cfg(test)]
@@ -1243,6 +1234,7 @@ mod tests {
     use super::*;
     use crate::ingest::passive_config;
     use sixscope_sim::Visibility;
+    use sixscope_telescope::SESSION_TIMEOUT;
 
     fn pkt(
         t: u64,
@@ -1263,19 +1255,11 @@ mod tests {
         }
     }
 
-    /// Builds a shard from packets exactly as the ingest path does:
-    /// incremental sessionizers plus one `push_range` over the capture.
+    /// Builds a shard from packets exactly as the ingest path does: one
+    /// feed chunk through a [`FeedConsumer`].
     fn build(packets: Vec<CapturedPacket>) -> TelescopeShard {
         let capture = Capture::restore(passive_config(Ipv6Prefix::default_route()), packets, 2, 1);
         let compiled = CompiledVisibility::compile(&Visibility::from_events(&[]));
-        let mut s128 = IncrementalSessionizer::new(AggLevel::Addr128, SESSION_TIMEOUT);
-        let mut s64 = IncrementalSessionizer::new(AggLevel::Subnet64, SESSION_TIMEOUT);
-        for (i, p) in capture.packets().iter().enumerate() {
-            s128.push(i as u32, p);
-            s64.push(i as u32, p);
-        }
-        let mut index = IndexShard::new();
-        index.push_range(&capture, 0..capture.len(), &compiled);
         let stats = IngestStats {
             records_read: capture.len() as u64 + 3,
             parsed: capture.len() as u64,
@@ -1284,14 +1268,9 @@ mod tests {
             truncated_tail: true,
             ..IngestStats::default()
         };
-        TelescopeShard {
-            capture,
-            session_timeout: SESSION_TIMEOUT,
-            stats,
-            sessions128: s128.finish(),
-            sessions64: s64.finish(),
-            index,
-        }
+        let mut consumer = FeedConsumer::new(16, &StreamSettings::default());
+        consumer.consume(&capture, 0..capture.len(), &compiled);
+        consumer.finish(capture, stats, &compiled).shard
     }
 
     fn sample_packets() -> Vec<CapturedPacket> {
@@ -1420,7 +1399,8 @@ mod tests {
             ("a.sixshard".into(), first),
             ("b.sixshard".into(), second),
         ])
-        .unwrap();
+        .unwrap()
+        .shard;
         assert_eq!(merged.capture.packets(), whole.capture.packets());
         assert_eq!(merged.capture.filtered(), 4, "counters are summed");
         assert_eq!(merged.sessions128, whole.sessions128);

@@ -279,7 +279,7 @@ proptest! {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static CASE: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
-            "sixscope-prop-shards-{}-{}",
+            "sixscope-core-prop-shard-round-trip-{}-{}",
             std::process::id(),
             CASE.fetch_add(1, Ordering::Relaxed)
         ));

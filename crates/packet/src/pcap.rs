@@ -1272,7 +1272,10 @@ mod tests {
         }
         let bytes = w.into_inner().unwrap();
         let dir = std::env::temp_dir();
-        let path = dir.join(format!("sixscope-mmap-test-{}.pcap", std::process::id()));
+        let path = dir.join(format!(
+            "sixscope-packet-{}-mapped_pcap_matches_buffered_fallback.pcap",
+            std::process::id()
+        ));
         std::fs::write(&path, &bytes).unwrap();
         let mapped = MappedPcap::open(&path).unwrap();
         let buffered = MappedPcap::open_buffered(&path).unwrap();
@@ -1288,7 +1291,10 @@ mod tests {
     #[test]
     fn mapped_pcap_empty_file_falls_back_and_reports_header_error() {
         let dir = std::env::temp_dir();
-        let path = dir.join(format!("sixscope-mmap-empty-{}.pcap", std::process::id()));
+        let path = dir.join(format!(
+            "sixscope-packet-{}-mapped_pcap_empty_file_falls_back.pcap",
+            std::process::id()
+        ));
         std::fs::write(&path, b"").unwrap();
         let mapped = MappedPcap::open(&path).unwrap();
         assert!(!mapped.used_mmap());

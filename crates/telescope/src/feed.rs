@@ -12,7 +12,7 @@
 //!   the writer either completes it or goes quiet, and dropping (but
 //!   counting) records that arrive later than the eviction horizon.
 //! * [`SimFeed`] — synthetic; reveals an already-simulated capture in
-//!   record chunks or in simulator-clock ticks, for deterministic tests.
+//!   record chunks, for deterministic replays and tests.
 //!
 //! The watermark is the maximum record timestamp observed so far — event
 //! time, not arrival time. A record whose timestamp is at least one
@@ -586,52 +586,24 @@ impl Feed for TailFeed {
 }
 
 /// A synthetic live source over an already-simulated (or otherwise
-/// finished) capture, for deterministic testing.
+/// finished) capture, for deterministic replays and testing.
 ///
-/// Two pacing modes: record chunks ([`SimFeed::new`] reveals
-/// `chunk_records` packets per pull) or simulator-clock ticks
-/// ([`SimFeed::with_clock`] advances a virtual clock by `tick` per pull
-/// and reveals every packet with a timestamp below it — the capture must
-/// be time-sorted). Either way the revealed sequence is the capture's
+/// Each pull reveals the next `chunk_records` packets in the capture's
 /// packet order, so chunk boundaries stay invisible (DESIGN.md §10).
 pub struct SimFeed<'a> {
     capture: &'a Capture,
     pos: usize,
     chunk_records: usize,
-    clock: Option<(SimTime, SimDuration)>,
     watermark: SimTime,
 }
 
 impl<'a> SimFeed<'a> {
-    /// Record-chunk pacing: reveal up to `chunk_records` packets per pull.
+    /// Reveals up to `chunk_records` packets per pull.
     pub fn new(capture: &'a Capture, chunk_records: usize) -> SimFeed<'a> {
         SimFeed {
             capture,
             pos: 0,
             chunk_records: chunk_records.max(1),
-            clock: None,
-            watermark: SimTime::EPOCH,
-        }
-    }
-
-    /// Packets revealed so far (the prefix `capture().packets()[..revealed]`).
-    pub fn revealed(&self) -> usize {
-        self.pos
-    }
-
-    /// Simulator-clock pacing: each pull advances a virtual clock by
-    /// `tick` and reveals every packet with `ts` strictly below it. The
-    /// capture must be time-sorted.
-    pub fn with_clock(capture: &'a Capture, tick: SimDuration) -> SimFeed<'a> {
-        debug_assert!(
-            capture.is_time_sorted(),
-            "clock pacing needs a time-sorted capture"
-        );
-        SimFeed {
-            capture,
-            pos: 0,
-            chunk_records: usize::MAX,
-            clock: Some((SimTime::EPOCH, tick)),
             watermark: SimTime::EPOCH,
         }
     }
@@ -656,20 +628,10 @@ impl Feed for SimFeed<'_> {
 
     fn next_chunk(&mut self) -> Result<FeedChunk, FeedError> {
         let packets = self.capture.packets();
-        let end = match &mut self.clock {
-            Some((now, tick)) => {
-                *now += *tick;
-                let now = *now;
-                self.pos
-                    + packets[self.pos..].partition_point(|p| p.ts < now).min(
-                        self.chunk_records, // chunk_records is MAX in clock mode
-                    )
-            }
-            None => self
-                .pos
-                .saturating_add(self.chunk_records)
-                .min(packets.len()),
-        };
+        let end = self
+            .pos
+            .saturating_add(self.chunk_records)
+            .min(packets.len());
         let range = self.pos..end;
         for p in &packets[range.clone()] {
             if p.ts > self.watermark {
@@ -716,8 +678,10 @@ mod tests {
     }
 
     fn temp_file(name: &str, bytes: &[u8]) -> PathBuf {
-        let path =
-            std::env::temp_dir().join(format!("sixscope-feed-{}-{name}", std::process::id()));
+        let path = std::env::temp_dir().join(format!(
+            "sixscope-telescope-feed-{}-{name}",
+            std::process::id()
+        ));
         std::fs::write(&path, bytes).unwrap();
         path
     }
@@ -864,18 +828,6 @@ mod tests {
             seen.extend(chunk.range.clone());
             if chunk.end_of_feed {
                 assert_eq!(chunk.watermark, SimTime::from_secs(25));
-                break;
-            }
-        }
-        assert_eq!(seen, (0..5).collect::<Vec<_>>());
-
-        // Clock pacing reveals the same sequence.
-        let mut clocked = SimFeed::with_clock(&capture, SimDuration::secs(10));
-        let mut seen = Vec::new();
-        loop {
-            let chunk = clocked.next_chunk().unwrap();
-            seen.extend(chunk.range.clone());
-            if chunk.end_of_feed {
                 break;
             }
         }

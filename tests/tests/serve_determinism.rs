@@ -6,26 +6,20 @@
 use sixscope::serve::{self, ServeOptions};
 use sixscope::sim::ScenarioConfig;
 use sixscope::Pipeline;
+use sixscope_integration::TempDir;
 use sixscope_types::Ipv6Prefix;
 use std::path::PathBuf;
 
 const SEED: u64 = 20230824;
 const SCALE: f64 = 0.004;
 
-fn temp_dir(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("sixscope-serve-{}-{name}", std::process::id()))
-}
-
 fn corpus_path(name: &str) -> PathBuf {
     PathBuf::from(format!("{}/corpus/{name}", env!("CARGO_MANIFEST_DIR")))
 }
 
-fn serve_once(mut opts: ServeOptions, dir: &PathBuf) -> String {
-    opts.out_dir = dir.clone();
+fn serve_once(opts: ServeOptions) -> String {
     let summary = serve::serve(opts).unwrap();
-    let latest = std::fs::read_to_string(summary.latest).unwrap();
-    std::fs::remove_dir_all(dir).ok();
-    latest
+    std::fs::read_to_string(summary.latest).unwrap()
 }
 
 /// `serve --sim` at seed 20230824 yields one byte sequence regardless of
@@ -38,11 +32,11 @@ fn sim_serve_is_invariant_and_matches_the_batch_pipeline() {
         .unwrap();
     let expected = serve::tables_report(&analyzed, false);
     for (threads, chunk) in [(1, 7), (8, 7), (1, usize::MAX), (8, usize::MAX)] {
-        let dir = temp_dir(&format!("sim-{threads}-{chunk}"));
-        let mut opts = ServeOptions::sim(SEED, SCALE, &dir);
+        let dir = TempDir::new(&format!("serve-sim-{threads}-{chunk}"));
+        let mut opts = ServeOptions::sim(SEED, SCALE, dir.path());
         opts.threads = Some(threads);
         opts.chunk_records = chunk;
-        let latest = serve_once(opts, &dir);
+        let latest = serve_once(opts);
         assert_eq!(
             latest, expected,
             "sim serve diverged at threads={threads} chunk={chunk}"
@@ -64,14 +58,14 @@ fn pcap_serve_final_checkpoint_equals_batch_analyze() {
     for json in [false, true] {
         let expected = serve::analysis_report(&batch.analyzed, &batch.stats, json);
         for (threads, chunk) in [(1, 7), (8, 7), (1, usize::MAX), (8, usize::MAX)] {
-            let dir = temp_dir(&format!("pcap-{json}-{threads}-{chunk}"));
-            let mut opts = ServeOptions::pcap(&pcap, &dir);
+            let dir = TempDir::new(&format!("serve-pcap-{json}-{threads}-{chunk}"));
+            let mut opts = ServeOptions::pcap(&pcap, dir.path());
             opts.threads = Some(threads);
             opts.chunk_records = chunk;
             opts.json = json;
             opts.poll_ms = 1;
             opts.quiesce_ms = 20;
-            let latest = serve_once(opts, &dir);
+            let latest = serve_once(opts);
             assert_eq!(
                 latest, expected,
                 "pcap serve diverged at json={json} threads={threads} chunk={chunk}"
@@ -85,8 +79,8 @@ fn pcap_serve_final_checkpoint_equals_batch_analyze() {
 /// `latest.md`.
 #[test]
 fn snapshots_are_numbered_and_latest_mirrors_the_last() {
-    let dir = temp_dir("snapshots");
-    let mut opts = ServeOptions::pcap(corpus_path("mixed.pcap"), &dir);
+    let dir = TempDir::new("serve-snapshots");
+    let mut opts = ServeOptions::pcap(corpus_path("mixed.pcap"), dir.path());
     opts.snapshot_every = Some(1);
     opts.chunk_records = 1;
     opts.poll_ms = 1;
@@ -105,5 +99,4 @@ fn snapshots_are_numbered_and_latest_mirrors_the_last() {
             "snapshot {seq} missing"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

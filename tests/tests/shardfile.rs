@@ -16,6 +16,7 @@
 
 use sixscope::shardfile::{decode_shard, encode_shard, ShardError};
 use sixscope::Pipeline;
+use sixscope_integration::TempDir;
 use sixscope_packet::{PacketBuilder, PcapRecord, PcapWriter};
 use sixscope_types::{SimTime, Xoshiro256pp};
 
@@ -57,21 +58,14 @@ fn base_pcap() -> Vec<u8> {
 /// Writes the base pcap, shards it through the real scatter path, and
 /// returns the `.sixshard` bytes.
 fn base_shard_bytes() -> Vec<u8> {
-    let dir = std::env::temp_dir().join(format!(
-        "sixscope-shard-mutation-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("shard-mutation");
     let pcap = dir.join("base.pcap");
     std::fs::write(&pcap, base_pcap()).unwrap();
     let out = dir.join("base.sixshard");
     Pipeline::from_pcaps([&pcap])
         .to_shard(&out)
         .expect("sharding a clean pcap cannot fail");
-    let bytes = std::fs::read(&out).unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
-    bytes
+    std::fs::read(&out).unwrap()
 }
 
 /// Applies one seeded mutation to `buf`.

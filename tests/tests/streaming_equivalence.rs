@@ -5,6 +5,7 @@
 //! bounded by the eviction horizon rather than by the corpus size.
 
 use sixscope::{Pipeline, PipelineOutput};
+use sixscope_integration::TempDir;
 use sixscope_packet::{PacketBuilder, PcapRecord, PcapWriter};
 use sixscope_telescope::TelescopeId;
 use sixscope_types::SimTime;
@@ -68,9 +69,8 @@ fn pcap_with(records: &[PcapRecord]) -> Vec<u8> {
 /// Writes the two-file corpus: file A holds bursts 0 and 1 with a damaged
 /// record between them (so damage lands mid-file, straddling chunk
 /// boundaries at small chunk sizes); file B holds burst 2.
-fn write_corpus() -> (PathBuf, Vec<PathBuf>) {
-    let dir = std::env::temp_dir().join(format!("sixscope-stream-eq-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+fn write_corpus(test: &str) -> (TempDir, Vec<PathBuf>) {
+    let dir = TempDir::new(test);
 
     let mut a = pcap_with(&burst_records(0));
     a.extend_from_slice(&damaged_record(2_000));
@@ -104,7 +104,7 @@ fn report(out: &PipelineOutput) -> String {
 
 #[test]
 fn chunked_streaming_is_byte_identical_to_batch() {
-    let (dir, paths) = write_corpus();
+    let (_dir, paths) = write_corpus("chunked-streaming");
     let reference = run(&paths, None, 1);
     assert_eq!(
         reference.stats.skipped_total(),
@@ -138,12 +138,11 @@ fn chunked_streaming_is_byte_identical_to_batch() {
             assert_eq!(out.stats, reference.stats);
         }
     }
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
 fn open_session_table_is_bounded_by_the_eviction_horizon() {
-    let (dir, paths) = write_corpus();
+    let (_dir, paths) = write_corpus("open-session-bound");
     let out = run(&paths, Some(7), 1);
     // 12 sessions total, but only SOURCES of them are ever live at once:
     // the 3 h inter-burst gap exceeds the 1 h eviction horizon, so each
@@ -157,5 +156,4 @@ fn open_session_table_is_bounded_by_the_eviction_horizon() {
     );
     assert!(out.analyzed.peak_open_sessions > 0);
     assert!(out.analyzed.peak_open_sessions < total);
-    let _ = std::fs::remove_dir_all(dir);
 }
