@@ -11,6 +11,7 @@ use sixscope_telescope::{Capture, Feed, IngestStats, PcapFeed, Protocol, SimFeed
 use sixscope_types::Ipv6Prefix;
 use std::hint::black_box;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Renders the bench corpus's T1 capture into an in-memory classic pcap
 /// image, so every bench below reads identical bytes.
@@ -52,8 +53,14 @@ fn passive() -> Capture {
 
 fn bench_feed(c: &mut Criterion) {
     let (image, records) = pcap_image();
-    let path: PathBuf =
-        std::env::temp_dir().join(format!("sixscope-bench-feed-{}.pcap", std::process::id()));
+    // Keyed on pid, a per-process counter and the caller, like the
+    // integration tests' `TempDir`, so concurrent runs never share it.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let path: PathBuf = std::env::temp_dir().join(format!(
+        "sixscope-bench-{}-{n}-bench_feed.pcap",
+        std::process::id()
+    ));
     std::fs::write(&path, &image).expect("write bench pcap");
 
     let mut group = c.benchmark_group("feed");

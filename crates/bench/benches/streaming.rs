@@ -9,6 +9,7 @@ use sixscope_bench::bench_corpus;
 use sixscope_telescope::{AggLevel, IncrementalSessionizer, Sessionizer, TelescopeId};
 use std::hint::black_box;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn bench_incremental_sessionizer(c: &mut Criterion) {
     let a = bench_corpus();
@@ -38,8 +39,14 @@ fn bench_chunked_pipeline(c: &mut Criterion) {
 
     let a = bench_corpus();
     let capture = a.capture(TelescopeId::T1);
-    let path: PathBuf =
-        std::env::temp_dir().join(format!("sixscope-bench-stream-{}.pcap", std::process::id()));
+    // Keyed on pid, a per-process counter and the caller, like the
+    // integration tests' `TempDir`, so concurrent runs never share it.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let path: PathBuf = std::env::temp_dir().join(format!(
+        "sixscope-bench-{}-{n}-bench_chunked_pipeline.pcap",
+        std::process::id()
+    ));
     let file = std::fs::File::create(&path).expect("create bench pcap");
     let mut writer = PcapWriter::new(file).expect("pcap header");
     for p in capture.packets() {

@@ -15,6 +15,7 @@ use sixscope::{Error, Pipeline};
 use sixscope_bench::report::{figures_section, tables_section};
 use sixscope_bench::{comparisons_markdown, peak_rss_kib, take_comparisons, SEED};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Prints a pipeline error (with its cause chain) and exits with the
@@ -65,14 +66,19 @@ fn main() {
         // `pieces` shard files per telescope, then merge the files back.
         let (result, sim) =
             sixscope::sim::Scenario::new(ScenarioConfig::new(SEED, scale)).run_timed();
-        let dir = std::env::temp_dir().join(format!("sixscope-shards-{}", std::process::id()));
-        let paths = sixscope::shardfile::write_experiment_shards(&result, pieces, &dir)
-            .unwrap_or_else(|e| fail(&e));
-        eprintln!("scattered {} shard files to {}", paths.len(), dir.display());
-        let analyzed = sixscope::shardfile::merge_experiment(result, &paths, None)
-            .unwrap_or_else(|e| fail(&e));
+        // Keyed on pid, a per-process counter and the caller, like the
+        // integration tests' `TempDir`, so concurrent runs never share it.
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("sixscope-repro-{}-{n}-shards", std::process::id()));
+        let merged =
+            sixscope::shardfile::write_experiment_shards(&result, pieces, &dir).and_then(|paths| {
+                eprintln!("scattered {} shard files to {}", paths.len(), dir.display());
+                sixscope::shardfile::merge_experiment(result, &paths, None)
+            });
         let _ = std::fs::remove_dir_all(&dir);
-        (analyzed, sim)
+        (merged.unwrap_or_else(|e| fail(&e)), sim)
     } else {
         let mut pipeline = Pipeline::simulate(ScenarioConfig::new(SEED, scale));
         if let Some(n) = chunk {

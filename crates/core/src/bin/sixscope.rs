@@ -193,6 +193,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
     if let Some(n) = flags.chunk()? {
         opts.chunk_records = n;
     }
+    // Parsed as `NonZeroU64`, so `--snapshot-every 0` is a usage error.
     opts.snapshot_every = flags.parsed("snapshot-every")?;
     opts.json = flags.is_true("json");
     opts.status_fd = flags.parsed("status-fd")?;

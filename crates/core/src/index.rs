@@ -27,7 +27,9 @@ use sixscope_analysis::classify::{
 };
 use sixscope_analysis::heavy::{heavy_hitters_from_counts, HeavyHitter, HEAVY_HITTER_SHARE};
 use sixscope_sim::{CompiledVisibility, ExperimentResult};
-use sixscope_telescope::{AggLevel, Capture, Protocol, ScanSession, SourceKey, TelescopeId};
+use sixscope_telescope::{
+    AggLevel, Capture, CapturedPacket, Protocol, ScanSession, SourceKey, TelescopeId,
+};
 use sixscope_types::ports::PortLabel;
 use sixscope_types::{
     chunk_ranges, map_indexed, num_threads, InternTable, Ipv6Prefix, PrefixTrie, SimTime,
@@ -191,66 +193,6 @@ pub struct PacketColumns {
 }
 
 impl PacketColumns {
-    /// Derives all columns from one capture.
-    ///
-    /// # Panics
-    /// Panics when the capture is not time-sorted (simulated captures are
-    /// by construction; replayed ones must be sorted first).
-    pub fn build(
-        capture: &Capture,
-        sources: &SourceTable,
-        visibility: &CompiledVisibility,
-    ) -> PacketColumns {
-        assert!(
-            capture.is_time_sorted(),
-            "corpus index requires a time-sorted capture"
-        );
-        let n = capture.len();
-        let mut cols = PacketColumns {
-            ts: Vec::with_capacity(n),
-            src128: Vec::with_capacity(n),
-            src64: Vec::with_capacity(n),
-            class: Vec::with_capacity(n),
-            proto: Vec::with_capacity(n),
-            port: Vec::with_capacity(n),
-            week: Vec::with_capacity(n),
-            day: Vec::with_capacity(n),
-            dst: Vec::with_capacity(n),
-            prefix: Vec::with_capacity(n),
-            prefixes: Vec::new(),
-        };
-        // Prefix ids are assigned in first-encounter order (the intern
-        // table's arena order); only the id→prefix direction is consumed,
-        // so any stable assignment works.
-        let mut prefix_ids: InternTable<Ipv6Prefix> = InternTable::new();
-        for p in capture.packets() {
-            cols.ts.push(p.ts);
-            let k128 = SourceKey::new(p.src, AggLevel::Addr128);
-            let k64 = SourceKey::new(p.src, AggLevel::Subnet64);
-            cols.src128
-                .push(sources.id128(&k128).expect("every packet source interned"));
-            cols.src64.push(sources.id64(&k64).expect("interned /64"));
-            cols.class.push(classify(p.dst).code());
-            cols.proto.push(proto_code(p.protocol));
-            let port = match (p.protocol, p.dst_port) {
-                (Protocol::Tcp, Some(port)) => encode_port(PortLabel::classify_tcp(port)),
-                (Protocol::Udp, Some(port)) => encode_port(PortLabel::classify_udp(port)),
-                _ => PORT_NONE,
-            };
-            cols.port.push(port);
-            cols.week.push(p.ts.week() as u32);
-            cols.day.push(p.ts.day() as u32);
-            cols.dst.push(u128::from(p.dst));
-            let prefix = match visibility.lpm(p.dst, p.ts) {
-                Some(pre) => prefix_ids.insert(pre).id,
-                None => NO_ID,
-            };
-            cols.prefix.push(prefix);
-        }
-        cols.prefixes = prefix_ids.into_keys();
-        cols
-    }
-
     /// Number of packets.
     pub fn len(&self) -> usize {
         self.ts.len()
@@ -293,31 +235,32 @@ impl PacketColumns {
 /// pipeline appends one chunk at a time with [`IndexShard::push_range`],
 /// merges shards in capture order with [`IndexShard::absorb`] (mirroring
 /// `Capture::absorb`), and finally [`CorpusIndex::from_shards`] interns the
-/// union of the shard source sets and resolves the raw columns to ids —
-/// producing columns byte-identical to a batch [`PacketColumns::build`]
-/// over the concatenated capture.
+/// union of the shard source sets and resolves the raw columns to ids.
+/// Chunk boundaries are invisible: any chunking of a capture yields the
+/// same columns.
 #[derive(Debug, Clone, Default)]
 pub struct IndexShard {
     /// Shard-local source interning. Arena order is first-encounter; the
     /// merge sorts the union, so final ids still land in ascending key
     /// order exactly as the old `BTreeSet` union assigned them.
     ///
-    /// (Fields are `pub(crate)` so the shard-file codec can write them out
-    /// and rebuild validated shards without an intermediate copy.)
+    /// (The source sets and the prefix pair are `pub(crate)` for the
+    /// shard-file codec: it stores the prefix pair, which the capture
+    /// cannot reproduce, and checks session sources against the sets.)
     pub(crate) sources128: InternTable<SourceKey>,
     pub(crate) sources64: InternTable<SourceKey>,
-    pub(crate) ts: Vec<SimTime>,
+    ts: Vec<SimTime>,
     /// Raw source address per packet (resolved to ids at merge time).
-    pub(crate) src: Vec<u128>,
-    pub(crate) class: Vec<u8>,
-    pub(crate) proto: Vec<u8>,
-    pub(crate) port: Vec<u32>,
-    pub(crate) week: Vec<u32>,
-    pub(crate) day: Vec<u32>,
-    pub(crate) dst: Vec<u128>,
+    src: Vec<u128>,
+    class: Vec<u8>,
+    proto: Vec<u8>,
+    port: Vec<u32>,
+    week: Vec<u32>,
+    day: Vec<u32>,
+    dst: Vec<u128>,
     pub(crate) prefix: Vec<u32>,
-    /// Shard-local announced-prefix interning (first-encounter order, as in
-    /// [`PacketColumns::build`]); remapped on absorb.
+    /// Shard-local announced-prefix interning in first-encounter order of
+    /// the `prefix` column; remapped on absorb.
     pub(crate) prefix_ids: InternTable<Ipv6Prefix>,
 }
 
@@ -342,24 +285,37 @@ impl IndexShard {
         (self.sources128.len(), self.sources64.len())
     }
 
-    /// Appends one contiguous chunk of `capture`'s packets.
+    /// Appends one contiguous chunk of `capture`'s packets, each routed to
+    /// its announced prefix by the visibility's longest-prefix match.
     ///
     /// # Panics
     /// Panics when the chunk's packets are not in non-decreasing time order
-    /// relative to what the shard already holds — the shard-level form of
-    /// [`PacketColumns::build`]'s time-sorted requirement.
+    /// relative to what the shard already holds.
     pub fn push_range(
         &mut self,
         capture: &Capture,
         range: Range<usize>,
         visibility: &CompiledVisibility,
     ) {
-        let packets = &capture.packets()[range];
-        self.ts.reserve(packets.len());
-        // Packets are non-decreasing in time (asserted below), so the
-        // epoch lookup rides a monotone cursor instead of a binary search
-        // per packet.
+        // Packets are non-decreasing in time (asserted in `push_packets`),
+        // so the epoch lookup rides a monotone cursor instead of a binary
+        // search per packet.
         let epoch_cursor = std::cell::Cell::new(0);
+        self.push_packets(&capture.packets()[range], |p| {
+            visibility.lpm_cached(p.dst, p.ts, &epoch_cursor)
+        });
+    }
+
+    /// Appends `packets`, taking each one's announced prefix from
+    /// `announced`: the visibility match in process, the stored prefix
+    /// column when a shard file is decoded. The one place every per-packet
+    /// column is derived.
+    pub(crate) fn push_packets(
+        &mut self,
+        packets: &[CapturedPacket],
+        mut announced: impl FnMut(&CapturedPacket) -> Option<Ipv6Prefix>,
+    ) {
+        self.ts.reserve(packets.len());
         for p in packets {
             assert!(
                 self.ts.last().is_none_or(|&t| t <= p.ts),
@@ -384,7 +340,7 @@ impl IndexShard {
             self.week.push(p.ts.week() as u32);
             self.day.push(p.ts.day() as u32);
             self.dst.push(u128::from(p.dst));
-            let prefix = match visibility.lpm_cached(p.dst, p.ts, &epoch_cursor) {
+            let prefix = match announced(p) {
                 Some(pre) => self.prefix_ids.insert(pre).id,
                 None => NO_ID,
             };
@@ -982,6 +938,20 @@ pub fn session_prefix_hits(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Test-only content equality: the columns plus the interned keys in id
+    /// order. (Hash-slot layouts depend on growth history, not content.)
+    impl PartialEq for IndexShard {
+        fn eq(&self, other: &Self) -> bool {
+            self.sources128.keys() == other.sources128.keys()
+                && self.sources64.keys() == other.sources64.keys()
+                && self.prefix_ids.keys() == other.prefix_ids.keys()
+                && (&self.ts, &self.src, &self.dst) == (&other.ts, &other.src, &other.dst)
+                && (&self.class, &self.proto, &self.port)
+                    == (&other.class, &other.proto, &other.port)
+                && (&self.week, &self.day, &self.prefix) == (&other.week, &other.day, &other.prefix)
+        }
+    }
 
     #[test]
     fn port_codes_round_trip_and_order_like_labels() {

@@ -32,6 +32,7 @@ use sixscope_telescope::{
 };
 use sixscope_types::{num_threads, Ipv6Prefix, SimTime};
 use std::collections::BTreeMap;
+use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -58,7 +59,7 @@ pub struct ServeOptions {
     pub out_dir: PathBuf,
     /// Checkpoint every this many revealed records (`None`: only the
     /// final checkpoint).
-    pub snapshot_every: Option<u64>,
+    pub snapshot_every: Option<NonZeroU64>,
     /// Worker-thread cap (`None` defers to `SIXSCOPE_THREADS`). Output
     /// bytes never depend on it.
     pub threads: Option<usize>,
@@ -458,7 +459,7 @@ impl Daemon<'_> {
             let watermark = lanes.iter().map(|lane| lane.watermark).max();
             (late_records, watermark.unwrap_or(SimTime::EPOCH))
         };
-        let every = self.opts.snapshot_every;
+        let every = self.opts.snapshot_every.map(NonZeroU64::get);
         let mut next_snapshot = every;
         while !shutdown_requested() {
             for lane in lanes.iter_mut().filter(|lane| !lane.ended) {

@@ -1,40 +1,41 @@
 //! The `.sixshard` wire format — federated scatter/gather for the corpus
 //! (DESIGN.md §13).
 //!
-//! One shard file carries everything one worker learned from one
-//! telescope's packets: the capture itself, ingest statistics, both
-//! session lists and the [`IndexShard`] columns, so a coordinator can
-//! [`merge_experiment`] N files into the exact corpus a single process
-//! would have built. The format is sectioned (magic + version + section
-//! table), little-endian throughout, and canonical: encoding a shard twice
-//! yields identical bytes.
+//! One shard file carries what one worker learned from one telescope's
+//! packets that the capture alone does not determine: the capture itself,
+//! ingest statistics, both session lists and the announced-prefix column
+//! of its [`IndexShard`], so a coordinator can [`merge_experiment`] N
+//! files into the exact corpus a single process would have built. Every
+//! other index column, and both source tables, are pure functions of the
+//! capture: the decoder derives them through the same per-packet push the
+//! in-process path uses, so the file does not store them. The format is
+//! sectioned (magic + version + section table), little-endian throughout,
+//! and canonical: encoding a shard twice yields identical bytes.
 //!
 //! Shard files are **untrusted input**, like pcaps. Every length prefix is
 //! bounds-checked against the bytes actually present before anything is
-//! allocated (mirroring the pcap reader's [`MAX_RECORD_LEN`] discipline),
-//! and every derived column is validated against recomputation from the
-//! embedded capture, so a decoded shard upholds the same invariants as one
-//! built in-process — downstream analysis cannot be driven into a panic by
-//! a damaged or hostile file. All violations surface as [`ShardError`]
-//! wrapped in [`Error::Shard`] (CLI exit code 7).
+//! allocated (mirroring the pcap reader's [`MAX_RECORD_LEN`] discipline).
+//! The derived columns are rebuilt, not re-validated, and the stored
+//! prefix column must equal its rebuild, so a decoded shard upholds the
+//! same invariants as one built in-process — downstream analysis cannot be
+//! driven into a panic by a damaged or hostile file. All violations
+//! surface as [`ShardError`] wrapped in [`Error::Shard`] (CLI exit code 7).
 //!
 //! # Id-remap contract
 //!
-//! Interned *source* tables are written in [`InternTable::sorted_keys`]
-//! order — canonical, and safe because the final merge re-sorts the union
-//! before assigning global ids. The interned *prefix* table is written in
-//! first-encounter order instead: the prefix column stores ids into that
-//! table, and [`IndexShard::try_absorb`] remaps them on merge, which
-//! reproduces the global first-encounter order only if each shard preserves
-//! its local one. The decoder enforces this (ids must first appear in
-//! ascending order and cover the table), which also makes the encoding
-//! canonical.
+//! The prefix column encodes the writer's visibility longest-prefix match,
+//! which the decoder cannot recompute. It stores ids into the prefix
+//! table, written in first-encounter order: [`IndexShard::try_absorb`]
+//! remaps them on merge, which reproduces the global first-encounter order
+//! only if each shard preserves its local one. The decoder replays the
+//! column through the in-process interning and requires the rebuilt table
+//! and column to equal the stored ones. That enforces the order (ids first
+//! appear ascending and cover the table) and makes the encoding canonical.
 
 use crate::corpus::Analyzed;
 use crate::error::Error;
-use crate::index::{encode_port, proto_code, IndexShard, NO_ID, PORT_NONE};
+use crate::index::{proto_code, IndexShard, NO_ID};
 use crate::pipeline::{gather, Drained, FeedConsumer, StreamSettings};
-use sixscope_analysis::addrtype::classify;
 use sixscope_packet::MAX_RECORD_LEN;
 use sixscope_sim::{CompiledVisibility, ExperimentResult};
 use sixscope_telescope::{
@@ -52,19 +53,16 @@ pub const MAGIC: [u8; 8] = *b"SIXSHARD";
 /// Current format version. Decoders reject other versions outright
 /// (DESIGN.md §13 versioning rule: the format is rewritten, never patched
 /// in place — a version bump is a new format).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Section tags, in the exact order they must appear in the section table.
-const SECTION_TAGS: [(u32, &str); 9] = [
+const SECTION_TAGS: [(u32, &str); 6] = [
     (1, "config"),
     (2, "stats"),
     (3, "capture"),
-    (4, "sources128"),
-    (5, "sources64"),
-    (6, "prefixes"),
-    (7, "columns"),
-    (8, "sessions128"),
-    (9, "sessions64"),
+    (4, "prefixes"),
+    (5, "sessions128"),
+    (6, "sessions64"),
 ];
 
 /// Why a `.sixshard` file failed to decode.
@@ -279,61 +277,16 @@ fn encode_capture(shard: &TelescopeShard) -> Vec<u8> {
     e.buf
 }
 
-fn encode_sources(keys: Vec<SourceKey>) -> Vec<u8> {
+/// The prefix table (first-encounter order) followed by the per-packet
+/// prefix-id column.
+fn encode_prefixes(index: &IndexShard) -> Vec<u8> {
     let mut e = Enc::default();
-    e.u64(keys.len() as u64);
-    for key in keys {
-        e.prefix(key.prefix);
-    }
-    e.buf
-}
-
-fn encode_prefixes(table: &InternTable<Ipv6Prefix>) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.u64(table.len() as u64);
-    for &p in table.keys() {
+    e.u64(index.prefix_ids.len() as u64);
+    for &p in index.prefix_ids.keys() {
         e.prefix(p);
     }
-    e.buf
-}
-
-fn encode_columns(index: &IndexShard) -> Vec<u8> {
-    let n = index.ts.len();
-    let mut e = Enc::default();
-    e.u64(n as u64);
-    // Each column is length-prefixed in bytes so a reader can skip or
-    // bounds-check it without knowing the element layout.
-    e.u64((n * 8) as u64);
-    for &t in &index.ts {
-        e.u64(t.as_secs());
-    }
-    e.u64((n * 16) as u64);
-    for &s in &index.src {
-        e.u128(s);
-    }
-    e.u64(n as u64);
-    e.bytes(&index.class);
-    e.u64(n as u64);
-    e.bytes(&index.proto);
-    e.u64((n * 4) as u64);
-    for &p in &index.port {
-        e.u32(p);
-    }
-    e.u64((n * 4) as u64);
-    for &w in &index.week {
-        e.u32(w);
-    }
-    e.u64((n * 4) as u64);
-    for &d in &index.day {
-        e.u32(d);
-    }
-    e.u64((n * 16) as u64);
-    for &d in &index.dst {
-        e.u128(d);
-    }
-    e.u64((n * 4) as u64);
-    for &p in &index.prefix {
-        e.u32(p);
+    for &id in &index.prefix {
+        e.u32(id);
     }
     e.buf
 }
@@ -359,10 +312,7 @@ pub fn encode_shard(shard: &TelescopeShard) -> Vec<u8> {
         encode_config(shard),
         encode_stats(shard),
         encode_capture(shard),
-        encode_sources(shard.index.sources128.sorted_keys()),
-        encode_sources(shard.index.sources64.sorted_keys()),
-        encode_prefixes(&shard.index.prefix_ids),
-        encode_columns(&shard.index),
+        encode_prefixes(&shard.index),
         encode_sessions(&shard.sessions128),
         encode_sessions(&shard.sessions64),
     ];
@@ -636,127 +586,31 @@ fn decode_capture(buf: &[u8], id: TelescopeId) -> Result<Vec<CapturedPacket>, Sh
     Ok(packets)
 }
 
-/// Encoded size of one source entry (prefix bits + length).
-const SOURCE_ENTRY_LEN: usize = 17;
+/// Encoded size of one prefix-table entry (prefix bits + length).
+const PREFIX_ENTRY_LEN: usize = 17;
 
-fn decode_sources(
-    buf: &[u8],
-    section: &'static str,
-    level: AggLevel,
-) -> Result<Vec<SourceKey>, ShardError> {
-    let mut c = Cursor::new(buf, section);
-    let n = c.count(SOURCE_ENTRY_LEN)?;
-    let mut keys: Vec<SourceKey> = Vec::with_capacity(n);
-    for i in 0..n {
-        let prefix = c.prefix()?;
-        if prefix.len() != level.bits() {
-            return Err(c.corrupt(format!(
-                "source {i} has length /{}, expected /{}",
-                prefix.len(),
-                level.bits()
-            )));
-        }
-        let key = SourceKey { prefix };
-        if let Some(prev) = keys.last() {
-            if *prev >= key {
-                return Err(c.corrupt(format!("source {i} breaks strict ascending order")));
-            }
-        }
-        keys.push(key);
-    }
-    c.done()?;
-    Ok(keys)
-}
-
-fn decode_prefixes(buf: &[u8]) -> Result<Vec<Ipv6Prefix>, ShardError> {
+/// The prefix table and the per-packet prefix-id column, every id
+/// bounds-checked against the table (or [`NO_ID`]).
+fn decode_prefixes(buf: &[u8], packets: usize) -> Result<(Vec<Ipv6Prefix>, Vec<u32>), ShardError> {
     let mut c = Cursor::new(buf, "prefixes");
-    let n = c.count(SOURCE_ENTRY_LEN)?;
-    let mut prefixes = Vec::with_capacity(n);
-    for _ in 0..n {
-        prefixes.push(c.prefix()?);
-    }
-    let mut sorted = prefixes.clone();
-    sorted.sort_unstable();
-    sorted.dedup();
-    if sorted.len() != prefixes.len() {
-        return Err(c.corrupt("duplicate entries in the prefix table".into()));
-    }
+    let n = c.count(PREFIX_ENTRY_LEN)?;
+    let table = (0..n).map(|_| c.prefix()).collect::<Result<Vec<_>, _>>()?;
+    let column: Vec<u32> = c
+        .take(packets * 4)?
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+        .collect();
     c.done()?;
-    Ok(prefixes)
-}
-
-/// The decoded columns section, still unvalidated against the capture.
-struct RawColumns {
-    ts: Vec<SimTime>,
-    src: Vec<u128>,
-    class: Vec<u8>,
-    proto: Vec<u8>,
-    port: Vec<u32>,
-    week: Vec<u32>,
-    day: Vec<u32>,
-    dst: Vec<u128>,
-    prefix: Vec<u32>,
-}
-
-fn column_bytes<'a>(
-    c: &mut Cursor<'a>,
-    n: usize,
-    elem: usize,
-    name: &str,
-) -> Result<&'a [u8], ShardError> {
-    let len = c.u64()?;
-    let expected = (n * elem) as u64;
-    if len != expected {
+    if let Some((i, id)) = column
+        .iter()
+        .enumerate()
+        .find(|&(_, &id)| id != NO_ID && id as usize >= n)
+    {
         return Err(c.corrupt(format!(
-            "{name} column claims {len} bytes, expected {expected} ({n} × {elem})"
+            "packet {i} references prefix id {id} of a {n}-entry table"
         )));
     }
-    c.take(len as usize)
-}
-
-fn decode_columns(buf: &[u8], packets: usize) -> Result<RawColumns, ShardError> {
-    let mut c = Cursor::new(buf, "columns");
-    let n = c.u64()? as usize;
-    if n != packets {
-        return Err(c.corrupt(format!(
-            "column length {n} disagrees with the capture's {packets} packets"
-        )));
-    }
-    let ts = column_bytes(&mut c, n, 8, "ts")?
-        .chunks_exact(8)
-        .map(|b| SimTime::from_secs(u64::from_le_bytes(b.try_into().unwrap())))
-        .collect();
-    let src = column_bytes(&mut c, n, 16, "src")?
-        .chunks_exact(16)
-        .map(|b| u128::from_le_bytes(b.try_into().unwrap()))
-        .collect();
-    let class = column_bytes(&mut c, n, 1, "class")?.to_vec();
-    let proto = column_bytes(&mut c, n, 1, "proto")?.to_vec();
-    let u32s = |b: &[u8]| -> Vec<u32> {
-        b.chunks_exact(4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-            .collect()
-    };
-    let port = u32s(column_bytes(&mut c, n, 4, "port")?);
-    let week = u32s(column_bytes(&mut c, n, 4, "week")?);
-    let day = u32s(column_bytes(&mut c, n, 4, "day")?);
-    let dst = column_bytes(&mut c, n, 16, "dst")?
-        .chunks_exact(16)
-        .map(|b| u128::from_le_bytes(b.try_into().unwrap()))
-        .collect();
-    let prefix = u32s(column_bytes(&mut c, n, 4, "prefix")?);
-    c.done()?;
-    Ok(RawColumns {
-        ts,
-        src,
-        class,
-        proto,
-        port,
-        week,
-        day,
-        dst,
-        prefix,
-    })
+    Ok((table, column))
 }
 
 /// Minimum encoded size of one session (one packet index).
@@ -767,7 +621,7 @@ fn decode_sessions(
     section: &'static str,
     level: AggLevel,
     id: TelescopeId,
-    ts: &[SimTime],
+    packets: &[CapturedPacket],
     sources: &InternTable<SourceKey>,
 ) -> Result<Vec<ScanSession>, ShardError> {
     let mut c = Cursor::new(buf, section);
@@ -812,10 +666,10 @@ fn decode_sessions(
         let mut packet_indices = Vec::with_capacity(npkts);
         for _ in 0..npkts {
             let idx = c.u32()?;
-            if idx as usize >= ts.len() {
+            if idx as usize >= packets.len() {
                 return Err(c.corrupt(format!(
                     "session {i} references packet {idx} of a {}-packet capture",
-                    ts.len()
+                    packets.len()
                 )));
             }
             if let Some(&prev) = packet_indices.last() {
@@ -827,12 +681,12 @@ fn decode_sessions(
             }
             packet_indices.push(idx);
         }
-        if start != ts[packet_indices[0] as usize] {
+        if start != packets[packet_indices[0] as usize].ts {
             return Err(c.corrupt(format!(
                 "session {i} start does not match its first packet's timestamp"
             )));
         }
-        if end != ts[*packet_indices.last().expect("npkts >= 1") as usize] {
+        if end != packets[*packet_indices.last().expect("npkts >= 1") as usize].ts {
             return Err(c.corrupt(format!(
                 "session {i} end does not match its last packet's timestamp"
             )));
@@ -849,111 +703,28 @@ fn decode_sessions(
     Ok(sessions)
 }
 
-/// Rebuilds the index shard from the validated capture and wire data, and
-/// cross-checks every derived column against recomputation — the decoded
-/// shard is exactly what [`IndexShard::push_range`] would have produced,
-/// so downstream merge/finalize invariants hold unconditionally.
+/// Rebuilds the index shard through [`IndexShard::push_packets`], the
+/// in-process derivation, taking each packet's announced prefix from the
+/// stored column. The stored table and column must equal their rebuild —
+/// which holds exactly when ids first appear in ascending order covering
+/// the table, the first-encounter discipline the merge remap relies on.
 fn rebuild_index(
     packets: &[CapturedPacket],
-    cols: RawColumns,
-    prefixes: Vec<Ipv6Prefix>,
-    wire128: &[SourceKey],
-    wire64: &[SourceKey],
+    table: Vec<Ipv6Prefix>,
+    column: Vec<u32>,
 ) -> Result<IndexShard, ShardError> {
-    let c = Cursor::new(&[], "columns");
-    let mut sources128: InternTable<SourceKey> = InternTable::new();
-    let mut sources64: InternTable<SourceKey> = InternTable::new();
-    for (i, p) in packets.iter().enumerate() {
-        sources128.insert(SourceKey::new(p.src, AggLevel::Addr128));
-        sources64.insert(SourceKey::new(p.src, AggLevel::Subnet64));
-        if cols.ts[i] != p.ts {
-            return Err(c.corrupt(format!("ts column disagrees with packet {i}")));
-        }
-        if cols.src[i] != u128::from(p.src) {
-            return Err(c.corrupt(format!("src column disagrees with packet {i}")));
-        }
-        if cols.class[i] != classify(p.dst).code() {
-            return Err(c.corrupt(format!("class column disagrees with packet {i}")));
-        }
-        if cols.proto[i] != proto_code(p.protocol) {
-            return Err(c.corrupt(format!("proto column disagrees with packet {i}")));
-        }
-        let port = match (p.protocol, p.dst_port) {
-            (Protocol::Tcp, Some(port)) => {
-                encode_port(sixscope_types::ports::PortLabel::classify_tcp(port))
-            }
-            (Protocol::Udp, Some(port)) => {
-                encode_port(sixscope_types::ports::PortLabel::classify_udp(port))
-            }
-            _ => PORT_NONE,
-        };
-        if cols.port[i] != port {
-            return Err(c.corrupt(format!("port column disagrees with packet {i}")));
-        }
-        if cols.week[i] != p.ts.week() as u32 {
-            return Err(c.corrupt(format!("week column disagrees with packet {i}")));
-        }
-        if cols.day[i] != p.ts.day() as u32 {
-            return Err(c.corrupt(format!("day column disagrees with packet {i}")));
-        }
-        if cols.dst[i] != u128::from(p.dst) {
-            return Err(c.corrupt(format!("dst column disagrees with packet {i}")));
-        }
+    let mut index = IndexShard::new();
+    let mut ids = column.iter();
+    index.push_packets(packets, |_| {
+        ids.next().and_then(|&id| table.get(id as usize).copied())
+    });
+    if index.prefix != column || index.prefix_ids.keys() != table.as_slice() {
+        return Err(ShardError::Corrupt {
+            section: "prefixes",
+            detail: "prefix ids do not first appear in ascending order covering the table".into(),
+        });
     }
-    // The wire source tables (sorted) must be exactly the packet key sets.
-    if sources128.sorted_keys() != wire128 {
-        return Err(c.corrupt("sources128 table disagrees with the capture's source set".into()));
-    }
-    if sources64.sorted_keys() != wire64 {
-        return Err(c.corrupt("sources64 table disagrees with the capture's source set".into()));
-    }
-    // The prefix column is the one non-recomputable column (it encodes the
-    // writer's visibility LPM): bounds-check every id and require ids to
-    // first appear in ascending order covering the table — the
-    // first-encounter discipline [`IndexShard::try_absorb`]'s remap relies
-    // on, and the property that makes the encoding canonical.
-    let mut seen = vec![false; prefixes.len()];
-    let mut next = 0u32;
-    for (i, &id) in cols.prefix.iter().enumerate() {
-        if id == NO_ID {
-            continue;
-        }
-        if id as usize >= prefixes.len() {
-            return Err(c.corrupt(format!(
-                "prefix column entry {i} references id {id} of a {}-entry table",
-                prefixes.len()
-            )));
-        }
-        if !seen[id as usize] {
-            if id != next {
-                return Err(c.corrupt(format!(
-                    "prefix id {id} first appears out of first-encounter order"
-                )));
-            }
-            seen[id as usize] = true;
-            next += 1;
-        }
-    }
-    if (next as usize) != prefixes.len() {
-        return Err(c.corrupt(format!(
-            "{} prefix table entries are never referenced",
-            prefixes.len() - next as usize
-        )));
-    }
-    Ok(IndexShard {
-        sources128,
-        sources64,
-        ts: cols.ts,
-        src: cols.src,
-        class: cols.class,
-        proto: cols.proto,
-        port: cols.port,
-        week: cols.week,
-        day: cols.day,
-        dst: cols.dst,
-        prefix: cols.prefix,
-        prefix_ids: InternTable::from_keys(prefixes),
-    })
+    Ok(index)
 }
 
 /// Decodes a `.sixshard` byte buffer into a fully validated shard.
@@ -1004,25 +775,22 @@ pub fn decode_shard(bytes: &[u8]) -> Result<TelescopeShard, ShardError> {
     let (config, session_timeout) = decode_config(bodies[0])?;
     let (stats, counters) = decode_stats(bodies[1])?;
     let packets = decode_capture(bodies[2], config.id)?;
-    let wire128 = decode_sources(bodies[3], "sources128", AggLevel::Addr128)?;
-    let wire64 = decode_sources(bodies[4], "sources64", AggLevel::Subnet64)?;
-    let prefixes = decode_prefixes(bodies[5])?;
-    let cols = decode_columns(bodies[6], packets.len())?;
-    let index = rebuild_index(&packets, cols, prefixes, &wire128, &wire64)?;
+    let (table, column) = decode_prefixes(bodies[3], packets.len())?;
+    let index = rebuild_index(&packets, table, column)?;
     let sessions128 = decode_sessions(
-        bodies[7],
+        bodies[4],
         "sessions128",
         AggLevel::Addr128,
         config.id,
-        &index.ts,
+        &packets,
         &index.sources128,
     )?;
     let sessions64 = decode_sessions(
-        bodies[8],
+        bodies[5],
         "sessions64",
         AggLevel::Subnet64,
         config.id,
-        &index.ts,
+        &packets,
         &index.sources64,
     )?;
     let capture = Capture::restore(config, packets, counters.filtered, counters.malformed);
@@ -1332,11 +1100,72 @@ mod tests {
         bad[0] ^= 0xff;
         assert!(matches!(decode_shard(&bad), Err(ShardError::BadMagic)));
         let mut bumped = bytes;
-        bumped[8..12].copy_from_slice(&2u32.to_le_bytes());
+        bumped[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         assert!(matches!(
             decode_shard(&bumped),
-            Err(ShardError::UnsupportedVersion(2))
+            Err(ShardError::UnsupportedVersion(v)) if v == FORMAT_VERSION + 1
         ));
+    }
+
+    #[test]
+    fn version_1_files_are_rejected() {
+        // v1 stored the derived columns and source tables; a version bump
+        // is a new format, so no v1 decoder is kept.
+        let mut bytes = encode_shard(&build(sample_packets()));
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            decode_shard(&bytes),
+            Err(ShardError::UnsupportedVersion(1))
+        ));
+    }
+
+    #[test]
+    fn prefix_column_must_be_canonical_and_in_bounds() {
+        let a: Ipv6Prefix = "2400:1::/32".parse().unwrap();
+        let b: Ipv6Prefix = "2400:1:2::/48".parse().unwrap();
+        let with = |table: [Ipv6Prefix; 2], column: [u32; 4]| {
+            let mut shard = build(sample_packets());
+            shard.index.prefix_ids = InternTable::from_keys(table);
+            shard.index.prefix = column.to_vec();
+            encode_shard(&shard)
+        };
+        let shard = decode_shard(&with([a, b], [0, NO_ID, 1, 0])).unwrap();
+        assert_eq!(shard.index.prefix, [0, NO_ID, 1, 0]);
+        assert_eq!(shard.index.prefix_ids.keys(), [a, b]);
+        let reject = |bytes: Vec<u8>, needle: &str| match decode_shard(&bytes) {
+            Err(ShardError::Corrupt {
+                section: "prefixes",
+                detail,
+            }) => assert!(detail.contains(needle), "{detail}"),
+            other => panic!("expected a corrupt prefixes section, got {other:?}"),
+        };
+        reject(with([a, b], [1, NO_ID, 0, 0]), "first appear");
+        reject(with([a, b], [0, NO_ID, 0, 0]), "first appear");
+        reject(with([a, b], [0, NO_ID, 2, 1]), "prefix id 2 of a 2-entry");
+        // A duplicate table entry: copy entry 0 over entry 1.
+        let mut dup = with([a, b], [0, NO_ID, 1, 0]);
+        let at = section_offset(&dup, 3) + 8;
+        dup.copy_within(at..at + PREFIX_ENTRY_LEN, at + PREFIX_ENTRY_LEN);
+        reject(dup, "first appear");
+    }
+
+    #[test]
+    fn changed_capture_decodes_to_the_index_push_range_builds() {
+        let shard = build(sample_packets());
+        let mut bytes = encode_shard(&shard);
+        // The first packet's dst follows the packet count (8), its ts (8)
+        // and its src (16); raise the top byte of its interface id.
+        let off = section_offset(&bytes, 2) + 8 + 8 + 16 + 7;
+        bytes[off] ^= 0x5a;
+        let decoded = decode_shard(&bytes).unwrap();
+        let changed = decoded.capture.packets();
+        assert_ne!(changed[0].dst, shard.capture.packets()[0].dst);
+        let mut expected = IndexShard::new();
+        let empty = CompiledVisibility::compile(&Visibility::from_events(&[]));
+        expected.push_range(&decoded.capture, 0..changed.len(), &empty);
+        assert_eq!(decoded.index, expected);
+        assert_ne!(decoded.index, shard.index, "the class column follows dst");
+        assert_eq!(encode_shard(&decoded), bytes);
     }
 
     #[test]
@@ -1406,9 +1235,8 @@ mod tests {
         assert_eq!(merged.sessions128, whole.sessions128);
         assert_eq!(merged.sessions64, whole.sessions64);
         assert_eq!(
-            encode_columns(&merged.index),
-            encode_columns(&whole.index),
-            "merged index columns must equal the single-process build"
+            merged.index, whole.index,
+            "the merged index must equal the single-process build"
         );
     }
 

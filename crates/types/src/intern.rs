@@ -178,18 +178,8 @@ impl<K: Copy + Eq + Ord + std::hash::Hash> InternTable<K> {
         self.keys
     }
 
-    /// The interned keys in ascending order, leaving the table intact —
-    /// the stable export of the shard wire format
-    /// ([`InternTable::sorted_remap`] is the consuming form that also
-    /// yields the id remap).
-    pub fn sorted_keys(&self) -> Vec<K> {
-        let mut keys = self.keys.clone();
-        keys.sort_unstable();
-        keys
-    }
-
     /// Rebuilds a table by interning `keys` in iteration order — the
-    /// import dual of [`InternTable::keys`]/[`InternTable::sorted_keys`].
+    /// import dual of [`InternTable::keys`].
     /// Ids land in iteration order, so feeding back an exported arena
     /// reproduces the original id assignment exactly.
     pub fn from_keys<I: IntoIterator<Item = K>>(keys: I) -> Self {
@@ -354,18 +344,6 @@ mod tests {
             let sid = remap[fid as usize] as usize;
             assert_eq!(sorted[sid], k);
         }
-    }
-
-    #[test]
-    fn sorted_keys_exports_without_consuming() {
-        let mut t = InternTable::new();
-        for k in [9u64, 3, 7, 3] {
-            t.insert(k);
-        }
-        assert_eq!(t.sorted_keys(), vec![3, 7, 9]);
-        // The table is still usable with its original ids.
-        assert_eq!(t.get(&9), Some(0));
-        assert_eq!(t.keys(), &[9, 3, 7]);
     }
 
     #[test]

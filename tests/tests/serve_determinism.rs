@@ -8,6 +8,7 @@ use sixscope::sim::ScenarioConfig;
 use sixscope::Pipeline;
 use sixscope_integration::TempDir;
 use sixscope_types::Ipv6Prefix;
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 
 const SEED: u64 = 20230824;
@@ -81,7 +82,7 @@ fn pcap_serve_final_checkpoint_equals_batch_analyze() {
 fn snapshots_are_numbered_and_latest_mirrors_the_last() {
     let dir = TempDir::new("serve-snapshots");
     let mut opts = ServeOptions::pcap(corpus_path("mixed.pcap"), dir.path());
-    opts.snapshot_every = Some(1);
+    opts.snapshot_every = NonZeroU64::new(1);
     opts.chunk_records = 1;
     opts.poll_ms = 1;
     opts.quiesce_ms = 20;

@@ -18,6 +18,7 @@ use sixscope::Pipeline;
 use sixscope_integration::TempDir;
 use sixscope_packet::{PacketBuilder, PcapRecord, PcapWriter};
 use sixscope_types::{Ipv6Prefix, SimTime};
+use std::num::NonZeroU64;
 use std::os::unix::io::AsRawFd;
 use std::path::Path;
 
@@ -105,7 +106,7 @@ fn sim_serve_status_lines_and_snapshots_are_pinned() {
     let mut opts = ServeOptions::sim(20230824, 0.004, dir.join("out"));
     opts.threads = Some(2);
     opts.chunk_records = 15000;
-    opts.snapshot_every = Some(25000);
+    opts.snapshot_every = NonZeroU64::new(25000);
     let (lines, files) = serve_with_status(opts, &dir);
     assert_lines(
         &lines,
@@ -144,7 +145,7 @@ fn pcap_serve_status_lines_and_snapshots_are_pinned() {
     std::fs::write(&pcap, &image).unwrap();
     let mut opts = ServeOptions::pcap(&pcap, dir.join("out"));
     opts.chunk_records = 3;
-    opts.snapshot_every = Some(5);
+    opts.snapshot_every = NonZeroU64::new(5);
     opts.json = true;
     opts.poll_ms = 1;
     opts.quiesce_ms = 20;
@@ -189,7 +190,7 @@ fn out_of_order_pcap_checkpoint_equals_batch_over_the_revealed_prefix() {
         let out = dir.join("out");
         let mut opts = ServeOptions::pcap(&pcap, &out);
         opts.chunk_records = 4;
-        opts.snapshot_every = Some(revealed as u64);
+        opts.snapshot_every = NonZeroU64::new(revealed as u64);
         opts.json = json;
         opts.poll_ms = 1;
         opts.quiesce_ms = 20;
