@@ -65,17 +65,6 @@ pub struct Comparison {
 
 static COMPARISONS: Mutex<Vec<Comparison>> = Mutex::new(Vec::new());
 
-/// Records a comparison row (collected into EXPERIMENTS.md by `repro`).
-pub fn record(experiment: &str, metric: &str, paper: &str, measured: String, holds: bool) {
-    record_row(Comparison {
-        experiment: experiment.to_string(),
-        metric: metric.to_string(),
-        paper: paper.to_string(),
-        measured,
-        holds,
-    });
-}
-
 /// Records an already-built comparison row. The report layer computes rows
 /// in parallel and replays them through here in report order, so the global
 /// comparison list stays deterministic.

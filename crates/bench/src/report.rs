@@ -29,7 +29,7 @@ struct Item {
 
 type ItemFn = fn(&Analyzed) -> Item;
 
-/// Builds a comparison row (the parallel-safe form of [`crate::record`]).
+/// Builds a comparison row for [`crate::record_row`] to record.
 fn row(experiment: &str, metric: &str, paper: &str, measured: String, holds: bool) -> Comparison {
     Comparison {
         experiment: experiment.to_string(),

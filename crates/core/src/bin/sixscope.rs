@@ -370,17 +370,9 @@ fn cmd_analyze(args: &[String]) -> Result<(), Error> {
         .parse()
         .map_err(|e| Error::Usage(format!("bad telescope prefix: {e}")))?;
     let out = run_pcap_pipeline(files, prefix, &flags)?;
-    print_analysis(&out, flags.is_true("json"))
-}
-
-/// Prints the `analyze` report for a pipeline run — shared verbatim by
-/// `analyze` (pcaps), `merge` (shard files), and the serve daemon's
-/// checkpoints ([`serve::analysis_report`]), so all three outputs can be
-/// byte-compared over the same packets.
-fn print_analysis(out: &PipelineOutput, json: bool) -> Result<(), Error> {
     print!(
         "{}",
-        serve::analysis_report(&out.analyzed, &out.stats, json)
+        serve::analysis_report(&out.analyzed, &out.stats, flags.is_true("json"))
     );
     Ok(())
 }
@@ -431,7 +423,11 @@ fn cmd_merge(args: &[String]) -> Result<(), Error> {
     }
     let out = pipeline.run_detailed()?;
     print_file_stats(&out.file_stats, &out.stats);
-    print_analysis(&out, flags.is_true("json"))
+    print!(
+        "{}",
+        serve::analysis_report(&out.analyzed, &out.stats, flags.is_true("json"))
+    );
+    Ok(())
 }
 
 fn cmd_schedule(args: &[String]) -> Result<(), Error> {

@@ -18,16 +18,12 @@ use sixscope_types::THREADS_ENV;
 const VALUELESS: &[&str] = &["json", "timing"];
 
 /// JSON rendering of one [`IngestStats`] — shared by the binary's
-/// `ingest`/`analyze` summaries and the serve daemon's checkpoints.
+/// `ingest`/`analyze` summaries and the serve daemon's checkpoints. Its
+/// fields are the ingest report's recovery counters.
 pub fn stats_json(stats: &IngestStats) -> Json {
-    Json::obj([
-        ("records_read", Json::u(stats.records_read)),
-        ("parsed", Json::u(stats.parsed)),
-        ("filtered", Json::u(stats.filtered)),
-        ("malformed_packets", Json::u(stats.malformed_packets)),
-        ("skipped", Json::u(stats.skipped_total())),
-        ("truncated_tail", Json::Bool(stats.truncated_tail)),
-    ])
+    let fields = crate::ingest::stats_fields(stats).into_iter();
+    let pairs = fields.map(|(key, _, n)| (key.to_string(), n.into_json()));
+    Json::Obj(pairs.collect())
 }
 
 /// Parsed `--name value` flag pairs plus the remaining positionals.

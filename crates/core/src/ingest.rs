@@ -3,20 +3,23 @@
 //! A telescope operator points [`crate::Pipeline::from_pcaps`] at classic
 //! pcap files (`tcpdump -y RAW` output) and gets the same analysis the
 //! simulated experiment runs: hardened per-record reading with
-//! skip-and-count recovery ([`sixscope_telescope::Capture::ingest_pcap_recovering`]),
-//! sessionization with the paper's 1-hour timeout, temporal and
-//! address-selection classification, and tool fingerprinting — rendered as
-//! one markdown report by [`render_report`].
+//! skip-and-count recovery (the pipeline streams each file through a
+//! [`sixscope_telescope::PcapFeed`]), sessionization with the paper's
+//! 1-hour timeout, temporal and address-selection classification, and
+//! tool fingerprinting — rendered as one markdown report by
+//! [`render_report`].
 //!
 //! The report is byte-identical at any `SIXSCOPE_THREADS` setting: the
 //! per-scanner rows are computed through the order-preserving
 //! [`map_indexed`], and every aggregation iterates in a deterministic
 //! order.
 
-use sixscope_analysis::classify::{addr_selection, profile_scanners};
+use crate::report::{col, text, Cell, Table};
+use sixscope_analysis::classify::{addr_selection, profile_scanners, AddrSelection, TemporalClass};
 use sixscope_analysis::fingerprint::identify;
 use sixscope_telescope::{
-    Capture, IngestStats, Protocol, ScanSession, TelescopeConfig, TelescopeId, TelescopeKind,
+    Capture, IngestStats, Protocol, ScanSession, SourceKey, TelescopeConfig, TelescopeId,
+    TelescopeKind,
 };
 use sixscope_types::{map_indexed, num_threads, Ipv6Prefix};
 use std::collections::BTreeMap;
@@ -49,39 +52,85 @@ pub fn render_report(
     stats: &IngestStats,
     source_label: &str,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("# sixscope ingest report\n\n");
-    out.push_str(&format!("Input: {source_label}\n\n"));
-    render_recovery(stats, &mut out);
+    let mut out = format!("# sixscope ingest report\n\nInput: {source_label}\n\n");
+    out.push_str("## Recovery\n\n");
+    out.push_str(&RECOVERY.markdown(&recovery_rows(stats)));
+    out.push('\n');
     render_traffic(capture, &mut out);
     render_scanners(capture, sessions, &mut out);
     out
 }
 
-fn render_recovery(s: &IngestStats, out: &mut String) {
-    out.push_str("## Recovery\n\n");
-    out.push_str("| metric | count |\n|---|---:|\n");
-    out.push_str(&format!("| records read | {} |\n", s.records_read));
-    out.push_str(&format!("| parsed into capture | {} |\n", s.parsed));
-    out.push_str(&format!("| filtered (outside prefix) | {} |\n", s.filtered));
-    out.push_str(&format!(
-        "| malformed IPv6 packets | {} |\n",
-        s.malformed_packets
-    ));
-    out.push_str(&format!(
-        "| skipped pcap records | {} |\n",
-        s.skipped_total()
-    ));
-    for (reason, n) in s.skip_reasons() {
-        if n > 0 {
-            out.push_str(&format!("| &nbsp;&nbsp;{reason} | {n} |\n"));
-        }
-    }
-    out.push_str(&format!(
-        "| truncated tail | {} |\n\n",
-        if s.truncated_tail { "yes" } else { "no" }
-    ));
+/// The recovery counters in report order: JSON key, report label, value.
+/// `cli::stats_json` and the report's recovery table both read them here.
+pub(crate) fn stats_fields(s: &IngestStats) -> [(&'static str, &'static str, Cell); 6] {
+    [
+        ("records_read", "records read", Cell::Int(s.records_read)),
+        ("parsed", "parsed into capture", Cell::Int(s.parsed)),
+        (
+            "filtered",
+            "filtered (outside prefix)",
+            Cell::Int(s.filtered),
+        ),
+        (
+            "malformed_packets",
+            "malformed IPv6 packets",
+            Cell::Int(s.malformed_packets),
+        ),
+        (
+            "skipped",
+            "skipped pcap records",
+            Cell::Int(s.skipped_total()),
+        ),
+        (
+            "truncated_tail",
+            "truncated tail",
+            Cell::Bool(s.truncated_tail),
+        ),
+    ]
 }
+
+/// The recovery table's rows: every counter, and under the skipped total
+/// the skip reasons that occurred.
+fn recovery_rows(stats: &IngestStats) -> Vec<(String, Cell)> {
+    let fields = stats_fields(stats).into_iter();
+    let mut rows: Vec<_> = fields.map(|(_, label, n)| (label.into(), n)).collect();
+    let truncated_tail = rows.pop();
+    for (reason, n) in stats.skip_reasons().filter(|&(_, n)| n > 0) {
+        rows.push((format!("&nbsp;&nbsp;{reason}"), Cell::Int(n)));
+    }
+    rows.extend(truncated_tail);
+    rows
+}
+
+const RECOVERY: Table<(String, Cell)> = Table {
+    key: "recovery",
+    title: "",
+    columns: &[
+        col("metric", "metric", "<", |r| text(&r.0)),
+        col("count", "count", ">", |r| r.1.clone()),
+    ],
+};
+
+/// Packets per protocol.
+const PROTOCOLS: Table<(String, u64)> = Table {
+    key: "protocols",
+    title: "",
+    columns: &[
+        col("protocol", "protocol", "<", |r| text(&r.0)),
+        col("packets", "packets", ">", |r| Cell::Int(r.1)),
+    ],
+};
+
+/// Packets per destination port, the busiest first.
+const PORTS: Table<(String, u64)> = Table {
+    key: "ports",
+    title: "",
+    columns: &[
+        col("port", "top destination port", "<", |r| text(&r.0)),
+        col("packets", "packets", ">", |r| Cell::Int(r.1)),
+    ],
+};
 
 fn render_traffic(capture: &Capture, out: &mut String) {
     out.push_str("## Traffic\n\n");
@@ -112,62 +161,108 @@ fn render_traffic(capture: &Capture, out: &mut String) {
         lo.as_secs(),
         hi.as_secs(),
     ));
-    out.push_str("| protocol | packets |\n|---|---:|\n");
-    for (proto, n) in &by_proto {
-        out.push_str(&format!("| {} | {} |\n", proto.name(), n));
-    }
+    let protocols: Vec<_> = by_proto
+        .iter()
+        .map(|(p, &n)| (p.name().into(), n))
+        .collect();
+    out.push_str(&PROTOCOLS.markdown(&protocols));
     out.push('\n');
     if !by_port.is_empty() {
         let mut ports: Vec<(u16, u64)> = by_port.into_iter().collect();
         ports.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         ports.truncate(TOP_PORTS);
-        out.push_str("| top destination port | packets |\n|---|---:|\n");
-        for (port, n) in ports {
-            out.push_str(&format!("| {port} | {n} |\n"));
-        }
+        let ports: Vec<_> = ports
+            .iter()
+            .map(|(port, n)| (port.to_string(), *n))
+            .collect();
+        out.push_str(&PORTS.markdown(&ports));
         out.push('\n');
     }
 }
 
 fn render_scanners(capture: &Capture, sessions: &[ScanSession], out: &mut String) {
     out.push_str("## Scanners\n\n");
-    let profiles = profile_scanners(sessions);
+    let scanners = scanner_rows(capture, sessions, true);
     out.push_str(&format!(
         "{} scan sessions (/128, 1-hour timeout) from {} scanners\n\n",
         sessions.len(),
-        profiles.len()
+        scanners.len()
     ));
-    if profiles.is_empty() {
-        return;
+    if !scanners.is_empty() {
+        out.push_str(&SCANNERS.markdown(&scanners));
+        out.push('\n');
     }
-    out.push_str(
-        "| source | sessions | packets | temporal | address selection | tool |\n\
-         |---|---:|---:|---|---|---|\n",
-    );
-    // Each row is an independent pure function of the capture, so rows
-    // are computed in parallel; map_indexed preserves profile order,
-    // keeping the report bytes identical at any thread count.
-    let prefix_len = capture.config().prefix.len();
-    let rows = map_indexed(num_threads(None), &profiles, |_, profile| {
-        let first = &sessions[profile.session_indices[0]];
-        let selection = addr_selection(first, capture, prefix_len);
-        let payload = first
-            .packets(capture)
-            .find(|p| !p.payload.is_empty())
-            .map(|p| p.payload.clone())
-            .unwrap_or_default();
-        format!(
-            "| {} | {} | {} | {} | {} | {} |\n",
-            profile.source,
-            profile.session_indices.len(),
-            profile.packets,
-            profile.temporal,
-            selection,
-            identify(&payload, None),
+}
+
+/// One scanner of the per-scanner table, classified by its first session.
+pub(crate) struct Scanner {
+    source: SourceKey,
+    sessions: u64,
+    packets: u64,
+    temporal: TemporalClass,
+    selection: AddrSelection,
+    /// The tool its first payload matches ("" unless asked for).
+    tool: String,
+}
+
+/// The per-scanner table that `analyze`, `merge`, `serve` and `ingest` all
+/// print. The `tool` column is markdown only: the ingest report is the one
+/// output that pays for its payload scan.
+pub(crate) const SCANNERS: Table<Scanner> = Table {
+    key: "scanners",
+    title: "",
+    columns: &[
+        col("source", "source", "<42", |r| text(r.source)),
+        col("sessions", "sess", ">6", |r: &Scanner| {
+            Cell::Int(r.sessions)
+        })
+        .md("sessions"),
+        col("packets", "packets", ">8", |r| Cell::Int(r.packets)),
+        col("temporal", "temporal", "<13", |r: &Scanner| {
+            text(r.temporal)
+        })
+        .sep("  "),
+        col(
+            "addr_selection",
+            "addr-selection (first session)",
+            "<",
+            |r: &Scanner| text(r.selection),
         )
-    });
-    for row in rows {
-        out.push_str(&row);
-    }
-    out.push('\n');
+        .md("address selection"),
+        col("", "", "<", |r: &Scanner| text(&r.tool)).md("tool"),
+    ],
+};
+
+/// The per-scanner rows of a /128 sessionization of `capture`, in profile
+/// order. With `tool`, each row also identifies its first payload's tool;
+/// that scan runs in parallel, and the order-preserving [`map_indexed`]
+/// keeps the rows identical at any thread count.
+pub(crate) fn scanner_rows(
+    capture: &Capture,
+    sessions: &[ScanSession],
+    tool: bool,
+) -> Vec<Scanner> {
+    let prefix_len = capture.config().prefix.len();
+    let threads = if tool { num_threads(None) } else { 1 };
+    map_indexed(threads, &profile_scanners(sessions), |_, profile| {
+        let first = &sessions[profile.session_indices[0]];
+        let tool = if tool {
+            let payload = first
+                .packets(capture)
+                .find(|p| !p.payload.is_empty())
+                .map(|p| p.payload.clone())
+                .unwrap_or_default();
+            identify(&payload, None).to_string()
+        } else {
+            String::new()
+        };
+        Scanner {
+            source: profile.source,
+            sessions: profile.session_indices.len() as u64,
+            packets: profile.packets,
+            temporal: profile.temporal,
+            selection: addr_selection(first, capture, prefix_len),
+            tool,
+        }
+    })
 }

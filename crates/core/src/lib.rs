@@ -47,6 +47,7 @@ pub mod ingest;
 pub mod json;
 pub mod pipeline;
 pub mod render;
+pub(crate) mod report;
 pub mod serve;
 pub mod shardfile;
 pub mod tables;

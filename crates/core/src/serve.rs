@@ -21,11 +21,10 @@
 //! the same sort-and-re-feed path (DESIGN.md §10, §14).
 
 use crate::corpus::Analyzed;
-use crate::ingest::passive_config;
+use crate::ingest::{passive_config, scanner_rows, SCANNERS};
 use crate::json::Json;
 use crate::pipeline::{gather, gathered_result, Drained, FeedConsumer, Lane, StreamSettings};
 use crate::{render, tables, Error};
-use sixscope_analysis::classify::{addr_selection, profile_scanners};
 use sixscope_sim::{CompiledVisibility, ExperimentResult, Scenario, ScenarioConfig, Visibility};
 use sixscope_telescope::{
     Capture, Feed, IngestStats, SimFeed, TailFeed, TelescopeId, SESSION_TIMEOUT,
@@ -220,106 +219,44 @@ fn write_snapshot(dir: &Path, seq: usize, report: &str) -> Result<PathBuf, Error
 /// serve checkpoint can be `cmp`'d against the batch run.
 pub fn analysis_report(analyzed: &Analyzed, stats: &IngestStats, json: bool) -> String {
     let capture = analyzed.capture(TelescopeId::T1);
-    let prefix = capture.config().prefix;
     let sessions = analyzed.sessions128(TelescopeId::T1);
-    let profiles = profile_scanners(sessions);
+    let scanners = scanner_rows(capture, sessions, false);
     if json {
         let doc = Json::obj([
             ("stats", crate::cli::stats_json(stats)),
             ("packets", Json::u(capture.len() as u64)),
             ("sessions_128", Json::u(sessions.len() as u64)),
-            (
-                "scanners",
-                Json::Arr(
-                    profiles
-                        .iter()
-                        .map(|profile| {
-                            let first = &sessions[profile.session_indices[0]];
-                            Json::obj([
-                                ("source", Json::s(profile.source.to_string())),
-                                ("sessions", Json::u(profile.session_indices.len() as u64)),
-                                ("packets", Json::u(profile.packets)),
-                                ("temporal", Json::s(profile.temporal.to_string())),
-                                (
-                                    "addr_selection",
-                                    Json::s(
-                                        addr_selection(first, capture, prefix.len()).to_string(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            SCANNERS.entry(&scanners),
         ]);
         return format!("{}\n", doc.render());
     }
-    let mut out = String::new();
-    out.push_str(&format!("total packets: {}\n", capture.len()));
-    out.push_str(&format!(
-        "sessions (/128): {}, scanners: {}\n\n",
+    format!(
+        "total packets: {}\nsessions (/128): {}, scanners: {}\n\n{}",
+        capture.len(),
         sessions.len(),
-        profiles.len()
-    ));
-    out.push_str(&format!(
-        "{:<42} {:>6} {:>8}  {:<13} addr-selection (first session)\n",
-        "source", "sess", "packets", "temporal"
-    ));
-    for profile in &profiles {
-        let first = &sessions[profile.session_indices[0]];
-        let selection = addr_selection(first, capture, prefix.len());
-        out.push_str(&format!(
-            "{:<42} {:>6} {:>8}  {:<13} {}\n",
-            profile.source.to_string(),
-            profile.session_indices.len(),
-            profile.packets,
-            profile.temporal.to_string(),
-            selection
-        ));
-    }
-    out
+        scanners.len(),
+        SCANNERS.text(&scanners)
+    )
 }
 
 /// Renders the `run`-style full-tables report — the exact stdout bytes of
 /// `sixscope run` over the same corpus.
 pub fn tables_report(analyzed: &Analyzed, json: bool) -> String {
     if json {
-        return format!("{}\n", crate::json::tables_json(analyzed).render());
+        return format!("{}\n", render::tables_json(analyzed).render());
     }
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{}\n",
-        render::render_table2(&tables::table2(analyzed))
-    ));
-    out.push_str(&format!(
-        "{}\n",
-        render::render_table3(&tables::table3(analyzed))
-    ));
-    out.push_str(&format!(
-        "{}\n",
-        render::render_table4(&tables::table4(analyzed))
-    ));
-    out.push_str(&format!(
-        "{}\n",
-        render::render_table5(&tables::table5(analyzed))
-    ));
-    out.push_str(&format!(
-        "{}\n",
-        render::render_table6(&tables::table6(analyzed))
-    ));
-    out.push_str(&format!(
-        "{}\n",
-        render::render_table7(&tables::table7(analyzed))
-    ));
-    out.push_str(&format!(
-        "{}\n",
-        render::render_table8(&tables::table8(analyzed))
-    ));
-    out.push_str(&format!(
-        "{}\n",
-        render::render_headline(&tables::headline(analyzed))
-    ));
-    out
+    [
+        render::render_table2(&tables::table2(analyzed)),
+        render::render_table3(&tables::table3(analyzed)),
+        render::render_table4(&tables::table4(analyzed)),
+        render::render_table5(&tables::table5(analyzed)),
+        render::render_table6(&tables::table6(analyzed)),
+        render::render_table7(&tables::table7(analyzed)),
+        render::render_table8(&tables::table8(analyzed)),
+        render::render_headline(&tables::headline(analyzed)),
+    ]
+    .map(|text| text + "\n")
+    .concat()
 }
 
 /// Runs the daemon to completion (feed drained, or SIGTERM/SIGINT).
