@@ -1,15 +1,16 @@
 //! Property tests for the analysis toolkit: NIST p-value sanity, DBSCAN
 //! label validity and determinism, address-classifier totality, statistics
-//! invariants, and packed-kernel equivalence against the retained naive
-//! references.
+//! invariants, and packed-kernel equivalence against the naive references
+//! in `sixscope-oracle` (and the in-crate naive `dbscan`).
 
 use proptest::prelude::*;
 use sixscope_analysis::addrtype::{classify, AddressType};
-use sixscope_analysis::autocorr::{self, PeriodDetector};
+use sixscope_analysis::autocorr::PeriodDetector;
 use sixscope_analysis::dbscan::{cluster_count, dbscan, dbscan_indexed, Assignment};
-use sixscope_analysis::nist::{self, BitSequence, NistTest};
+use sixscope_analysis::nist::{BitSequence, NistTest};
 use sixscope_analysis::special::{erfc, normal_cdf};
 use sixscope_analysis::stats::{ecdf, percent_change, rank_descending};
+use sixscope_oracle::{autocorr, nist};
 use sixscope_types::SimTime;
 use std::net::Ipv6Addr;
 
@@ -33,11 +34,11 @@ proptest! {
         prop_assert_eq!(bits.len(), words.len() * 64 + tail_len as usize);
         for out in seq.run_all() {
             let want = match out.test {
-                NistTest::Frequency => nist::reference::frequency_p(&bits),
-                NistTest::Runs => nist::reference::runs_p(&bits),
-                NistTest::Fft => nist::reference::fft_p(&bits),
-                NistTest::CusumForward => nist::reference::cusum_p(&bits, false),
-                NistTest::CusumBackward => nist::reference::cusum_p(&bits, true),
+                NistTest::Frequency => nist::frequency_p(&bits),
+                NistTest::Runs => nist::runs_p(&bits),
+                NistTest::Fft => nist::fft_p(&bits),
+                NistTest::CusumForward => nist::cusum_p(&bits, false),
+                NistTest::CusumBackward => nist::cusum_p(&bits, true),
             };
             prop_assert_eq!(
                 out.p_value.to_bits(),
@@ -64,7 +65,7 @@ proptest! {
             .collect();
         let det = PeriodDetector::default();
         let fast = det.detect(&starts);
-        let slow = autocorr::reference::detect(&det, &starts);
+        let slow = autocorr::detect(&det, &starts);
         prop_assert_eq!(fast.is_some(), slow.is_some());
         if let (Some(f), Some(s)) = (fast, slow) {
             prop_assert_eq!(f.period, s.period);

@@ -1,14 +1,14 @@
 //! Zero-copy ingest benchmarks: the recovering slice reader plus the
 //! batched parse kernel over an in-memory pcap image, against the owned
-//! reader they replaced. Throughput is reported in records/sec — the
-//! single-core target for `view_parse` is ≥1M pkt/s.
+//! reference reader in `sixscope-oracle`. Throughput is reported in
+//! records/sec — the single-core target for `view_parse` is ≥1M pkt/s.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sixscope::packet::{
-    parse_run, PacketBuilder, ParsedPacket, PcapReader, PcapRecord, PcapWriter, RecordOutcome,
-    SliceReader, ViewOutcome,
+    parse_run, PacketBuilder, ParsedView, PcapRecord, PcapWriter, SliceReader, ViewOutcome,
 };
 use sixscope_bench::bench_corpus;
+use sixscope_oracle::{PcapReader, RecordOutcome};
 use sixscope_telescope::{Protocol, TelescopeId};
 use std::hint::black_box;
 
@@ -74,15 +74,15 @@ fn bench_ingest(c: &mut Criterion) {
         })
     });
 
-    // The owned path this PR replaced: every record copied into a fresh
-    // `Vec<u8>`, every packet parsed into owned `Bytes`.
+    // The owned reference reader: every record copied into a fresh
+    // `Vec<u8>`, then parsed one at a time.
     group.bench_function("owned_parse", |b| {
         b.iter(|| {
             let mut reader = PcapReader::new(&image[..]).expect("valid header");
             let mut ok = 0usize;
             while let Ok(Some(outcome)) = reader.read_record_recovering() {
                 if let RecordOutcome::Record(rec) = outcome {
-                    if ParsedPacket::parse(&rec.data).is_ok() {
+                    if ParsedView::parse(&rec.data).is_ok() {
                         ok += 1;
                     }
                 }

@@ -1,5 +1,5 @@
-//! The `kernels` group: packed analysis kernels against their retained
-//! naive references, on synthetic inputs sized like the hot paths.
+//! The `kernels` group: packed analysis kernels against their naive
+//! references, on synthetic inputs sized like the hot paths.
 //!
 //! Three pairs: the word-packed NIST battery vs the bit-vector reference,
 //! the Wiener–Khinchin period detector vs the O(n·lag) ACF scan, and the
@@ -8,9 +8,10 @@
 //! than timing the wrong kernel.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sixscope_analysis::autocorr::{self, PeriodDetector};
+use sixscope_analysis::autocorr::PeriodDetector;
 use sixscope_analysis::dbscan::{dbscan, dbscan_indexed};
-use sixscope_analysis::nist::{self, BitSequence, FftScratch, NistTest};
+use sixscope_analysis::nist::{BitSequence, FftScratch, NistTest};
+use sixscope_oracle::{autocorr, nist};
 use sixscope_types::{SimTime, Xoshiro256pp};
 use std::hint::black_box;
 
@@ -30,11 +31,11 @@ fn bench_nist(c: &mut Criterion) {
     // Packed and reference kernels agree bit-for-bit.
     for outcome in seq.run_all() {
         let want = match outcome.test {
-            NistTest::Frequency => nist::reference::frequency_p(&bits),
-            NistTest::Runs => nist::reference::runs_p(&bits),
-            NistTest::Fft => nist::reference::fft_p(&bits),
-            NistTest::CusumForward => nist::reference::cusum_p(&bits, false),
-            NistTest::CusumBackward => nist::reference::cusum_p(&bits, true),
+            NistTest::Frequency => nist::frequency_p(&bits),
+            NistTest::Runs => nist::runs_p(&bits),
+            NistTest::Fft => nist::fft_p(&bits),
+            NistTest::CusumForward => nist::cusum_p(&bits, false),
+            NistTest::CusumBackward => nist::cusum_p(&bits, true),
         };
         assert_eq!(
             outcome.p_value.to_bits(),
@@ -51,11 +52,11 @@ fn bench_nist(c: &mut Criterion) {
     });
     c.bench_function("kernels_nist_reference", |b| {
         b.iter(|| {
-            black_box(nist::reference::frequency_p(&bits));
-            black_box(nist::reference::runs_p(&bits));
-            black_box(nist::reference::fft_p(&bits));
-            black_box(nist::reference::cusum_p(&bits, false));
-            black_box(nist::reference::cusum_p(&bits, true));
+            black_box(nist::frequency_p(&bits));
+            black_box(nist::runs_p(&bits));
+            black_box(nist::fft_p(&bits));
+            black_box(nist::cusum_p(&bits, false));
+            black_box(nist::cusum_p(&bits, true));
         })
     });
 }
@@ -80,7 +81,7 @@ fn bench_autocorr(c: &mut Criterion) {
     let det = PeriodDetector::default();
     let starts = periodic_starts(140);
     let fast = det.detect(&starts);
-    let slow = autocorr::reference::detect(&det, &starts);
+    let slow = autocorr::detect(&det, &starts);
     assert_eq!(
         fast.as_ref().map(|p| p.period),
         slow.as_ref().map(|p| p.period)
@@ -90,7 +91,7 @@ fn bench_autocorr(c: &mut Criterion) {
         b.iter(|| black_box(det.detect(&starts)))
     });
     c.bench_function("kernels_autocorr_reference", |b| {
-        b.iter(|| black_box(autocorr::reference::detect(&det, &starts)))
+        b.iter(|| black_box(autocorr::detect(&det, &starts)))
     });
 }
 

@@ -206,7 +206,7 @@ impl Pipeline {
             }
             Source::Pcaps { paths, prefix } => {
                 let ingest_start = Instant::now();
-                let (state, file_stats) = ingest_pcaps(&paths, prefix, &settings)?;
+                let (state, file_stats) = drain_pcaps(&paths, prefix, &settings)?;
                 Ok(gathered_output(
                     vec![state],
                     file_stats,
@@ -244,7 +244,7 @@ impl Pipeline {
                 "shard export requires a pcap source (Pipeline::from_pcaps)".into(),
             ));
         };
-        let (state, file_stats) = ingest_pcaps(&paths, prefix, &settings)?;
+        let (state, file_stats) = drain_pcaps(&paths, prefix, &settings)?;
         let shard = state.shard;
         write_shard(out.as_ref(), &shard)?;
         Ok(ShardOutput {
@@ -604,7 +604,7 @@ pub(crate) fn analyze_result(mut result: ExperimentResult, settings: &StreamSett
 /// the lane's consumer sessionizes and indexes each chunk before the next
 /// one is cut, so the only per-record heap traffic is the retained packets
 /// themselves.
-fn ingest_pcaps(
+fn drain_pcaps(
     paths: &[PathBuf],
     prefix: Ipv6Prefix,
     settings: &StreamSettings,

@@ -9,13 +9,14 @@
 //! format; the reader additionally accepts big-endian and
 //! nanosecond-resolution magic values.
 //!
-//! Real captures are damaged in predictable ways — a killed `tcpdump`
-//! leaves a half-written final record, disk corruption flips length
-//! fields — so the reader never trusts a length field: `incl_len` is
-//! validated against the file's own snaplen and the [`MAX_RECORD_LEN`]
-//! ceiling before any allocation, and
-//! [`PcapReader::read_record_recovering`] turns per-record damage into
-//! typed [`RecordOutcome`]s instead of aborting the file.
+//! There is one reader, [`SliceReader`], over the bytes of a whole file
+//! ([`MappedPcap`] maps or reads it). Real captures are damaged in
+//! predictable ways — a killed `tcpdump` leaves a half-written final
+//! record, disk corruption flips length fields — so the reader never trusts
+//! a length field: `incl_len` is validated against the file's own snaplen
+//! and the [`MAX_RECORD_LEN`] ceiling, and
+//! [`SliceReader::read_record_recovering`] turns per-record damage into
+//! typed [`ViewOutcome`]s instead of aborting the file.
 
 use crate::error::{MalformedRecord, PacketError};
 use sixscope_types::SimTime;
@@ -93,262 +94,12 @@ impl<W: Write> PcapWriter<W> {
     }
 }
 
-/// Outcome of one recoverable read step (see
-/// [`PcapReader::read_record_recovering`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecordOutcome {
-    /// A complete, well-formed record.
-    Record(PcapRecord),
-    /// A damaged record was skipped; the stream is re-synchronized on the
-    /// next record boundary.
-    Skipped(MalformedRecord),
-    /// The file ends inside a record (a live capture that was killed). All
-    /// preceding records were yielded; no further reads will succeed.
-    TruncatedTail(MalformedRecord),
-}
-
-/// Streaming pcap reader.
-pub struct PcapReader<R: Read> {
-    input: R,
-    swapped: bool,
-    nanos: bool,
-    /// The file's declared snapshot length (0 = writer declared none).
-    snaplen: u32,
-    /// Set once a truncated tail was reported; further recoverable reads
-    /// return end-of-file instead of re-reading garbage.
-    exhausted: bool,
-}
-
-impl<R: Read> PcapReader<R> {
-    /// Reads and validates the global header.
-    pub fn new(mut input: R) -> Result<Self, PacketError> {
-        let mut hdr = [0u8; 24];
-        input.read_exact(&mut hdr)?;
-        let magic = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
-        let (swapped, nanos) = match magic {
-            MAGIC_LE_US => (false, false),
-            MAGIC_LE_NS => (false, true),
-            m if m.swap_bytes() == MAGIC_LE_US => (true, false),
-            m if m.swap_bytes() == MAGIC_LE_NS => (true, true),
-            m => return Err(PacketError::BadPcapMagic(m)),
-        };
-        let read_u32 = |b: &[u8]| {
-            let v = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-            if swapped {
-                v.swap_bytes()
-            } else {
-                v
-            }
-        };
-        let linktype = read_u32(&hdr[20..24]);
-        if linktype != LINKTYPE_RAW {
-            return Err(PacketError::UnsupportedLinkType(linktype));
-        }
-        Ok(PcapReader {
-            input,
-            swapped,
-            nanos,
-            snaplen: read_u32(&hdr[16..20]),
-            exhausted: false,
-        })
-    }
-
-    /// The snapshot length declared by the file's global header.
-    pub fn snaplen(&self) -> u32 {
-        self.snaplen
-    }
-
-    /// Fills `buf` as far as the input allows; returns the bytes read.
-    fn read_fully(&mut self, buf: &mut [u8]) -> Result<usize, PacketError> {
-        let mut filled = 0;
-        while filled < buf.len() {
-            match self.input.read(&mut buf[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(filled)
-    }
-
-    /// Reads the next record, or `None` at end of file.
-    ///
-    /// Every length field is validated before allocation: `incl_len` must
-    /// not exceed the file's snaplen, the [`MAX_RECORD_LEN`] ceiling, or
-    /// `orig_len`. Violations and mid-record EOF return
-    /// [`PacketError::Malformed`]; callers that want to continue past the
-    /// damage use [`PcapReader::read_record_recovering`] instead.
-    pub fn read_record(&mut self) -> Result<Option<PcapRecord>, PacketError> {
-        let mut hdr = [0u8; 16];
-        let have = self.read_fully(&mut hdr)?;
-        if have == 0 {
-            return Ok(None);
-        }
-        if have < hdr.len() {
-            return Err(PacketError::Malformed(MalformedRecord::TruncatedHeader {
-                have,
-            }));
-        }
-        let field = |i: usize| {
-            let v = u32::from_le_bytes([hdr[i], hdr[i + 1], hdr[i + 2], hdr[i + 3]]);
-            if self.swapped {
-                v.swap_bytes()
-            } else {
-                v
-            }
-        };
-        let (ts_sec, ts_frac, incl_len, orig_len) = (field(0), field(4), field(8), field(12));
-        if self.snaplen != 0 && incl_len > self.snaplen {
-            return Err(PacketError::Malformed(MalformedRecord::SnaplenExceeded {
-                incl_len,
-                snaplen: self.snaplen,
-            }));
-        }
-        if incl_len > MAX_RECORD_LEN {
-            return Err(PacketError::Malformed(MalformedRecord::CapExceeded {
-                incl_len,
-            }));
-        }
-        if incl_len > orig_len {
-            return Err(PacketError::Malformed(
-                MalformedRecord::LengthInconsistent { incl_len, orig_len },
-            ));
-        }
-        let mut data = vec![0u8; incl_len as usize];
-        let have = self.read_fully(&mut data)?;
-        if have < data.len() {
-            return Err(PacketError::Malformed(MalformedRecord::TruncatedBody {
-                need: data.len(),
-                have,
-            }));
-        }
-        let ts_micros = if self.nanos { ts_frac / 1000 } else { ts_frac };
-        Ok(Some(PcapRecord {
-            ts: SimTime::from_secs(ts_sec as u64),
-            ts_micros,
-            data,
-        }))
-    }
-
-    /// Reads the next record with skip-and-count recovery, or `None` at end
-    /// of file.
-    ///
-    /// Damage is confined to the record it occurs in: a record with a
-    /// rejected length field is skipped (its advertised bytes are discarded
-    /// in bounded chunks, so the stream stays synchronized on the next
-    /// record boundary) and reported as [`RecordOutcome::Skipped`]; a file
-    /// cut off mid-record yields [`RecordOutcome::TruncatedTail`] once and
-    /// then end-of-file. `Err` is reserved for real I/O failures.
-    pub fn read_record_recovering(&mut self) -> Result<Option<RecordOutcome>, PacketError> {
-        if self.exhausted {
-            return Ok(None);
-        }
-        match self.read_record() {
-            Ok(Some(rec)) => Ok(Some(RecordOutcome::Record(rec))),
-            Ok(None) => Ok(None),
-            Err(PacketError::Malformed(m)) if m.is_truncation() => {
-                self.exhausted = true;
-                Ok(Some(RecordOutcome::TruncatedTail(m)))
-            }
-            Err(PacketError::Malformed(m)) => {
-                let advertised = match m {
-                    MalformedRecord::SnaplenExceeded { incl_len, .. }
-                    | MalformedRecord::CapExceeded { incl_len }
-                    | MalformedRecord::LengthInconsistent { incl_len, .. } => incl_len,
-                    _ => unreachable!("truncation handled above"),
-                };
-                if self.discard(u64::from(advertised))? {
-                    Ok(Some(RecordOutcome::Skipped(m)))
-                } else {
-                    self.exhausted = true;
-                    Ok(Some(RecordOutcome::TruncatedTail(m)))
-                }
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Discards `n` bytes through a bounded scratch buffer. Returns `false`
-    /// if the input ended first.
-    fn discard(&mut self, mut n: u64) -> Result<bool, PacketError> {
-        let mut scratch = [0u8; 8192];
-        while n > 0 {
-            let want = scratch.len().min(usize::try_from(n).unwrap_or(usize::MAX));
-            let got = self.read_fully(&mut scratch[..want])?;
-            if got == 0 {
-                return Ok(false);
-            }
-            n -= got as u64;
-        }
-        Ok(true)
-    }
-}
-
-impl<R: Read> Iterator for PcapReader<R> {
-    type Item = Result<PcapRecord, PacketError>;
-    fn next(&mut self) -> Option<Self::Item> {
-        self.read_record().transpose()
-    }
-}
-
-/// Chunked streaming source over a recovering reader: yields up to
-/// `chunk_records` [`RecordOutcome`]s at a time, so a consumer holds one
-/// chunk of records in memory instead of a whole capture file.
-///
-/// Recovery semantics are exactly [`PcapReader::read_record_recovering`]'s —
-/// chunk boundaries are invisible in the outcome sequence. `Err` (real I/O
-/// failure only) ends the iteration.
-pub struct PcapChunks<R: Read> {
-    reader: PcapReader<R>,
-    chunk_records: usize,
-    failed: bool,
-}
-
-impl<R: Read> PcapChunks<R> {
-    /// Wraps an open reader; `chunk_records` is clamped to at least 1.
-    pub fn new(reader: PcapReader<R>, chunk_records: usize) -> Self {
-        PcapChunks {
-            reader,
-            chunk_records: chunk_records.max(1),
-            failed: false,
-        }
-    }
-}
-
-impl<R: Read> Iterator for PcapChunks<R> {
-    type Item = Result<Vec<RecordOutcome>, PacketError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        let mut out = Vec::new();
-        while out.len() < self.chunk_records {
-            match self.reader.read_record_recovering() {
-                Ok(Some(outcome)) => out.push(outcome),
-                Ok(None) => break,
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-        if out.is_empty() {
-            None
-        } else {
-            Some(Ok(out))
-        }
-    }
-}
-
 /// One captured packet record, borrowed from the underlying file bytes.
 ///
 /// The zero-copy counterpart of [`PcapRecord`]: `data` is a subslice of
 /// the capture file (an [`MappedPcap`] mapping or any in-memory byte
 /// slice), so yielding a record allocates nothing. Views live only as
-/// long as the backing bytes — promote with [`RecordView::to_owned`]
-/// when a record must outlive them (DESIGN.md §11).
+/// long as the backing bytes (DESIGN.md §11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordView<'a> {
     /// Capture timestamp.
@@ -359,23 +110,11 @@ pub struct RecordView<'a> {
     pub data: &'a [u8],
 }
 
-impl RecordView<'_> {
-    /// Copies the view out into an owned [`PcapRecord`].
-    pub fn to_owned(&self) -> PcapRecord {
-        PcapRecord {
-            ts: self.ts,
-            ts_micros: self.ts_micros,
-            data: self.data.to_vec(),
-        }
-    }
-}
-
 /// Outcome of one recoverable zero-copy read step (see
 /// [`SliceReader::read_record_recovering`]).
 ///
-/// The borrowed counterpart of [`RecordOutcome`]; the two encode the same
-/// taxonomy and a [`SliceReader`] yields exactly the outcome sequence a
-/// [`PcapReader`] yields over the same bytes.
+/// The mutation harness pins this sequence outcome for outcome to the
+/// independent owned reader in `sixscope-oracle`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViewOutcome<'a> {
     /// A complete, well-formed record.
@@ -388,27 +127,15 @@ pub enum ViewOutcome<'a> {
     TruncatedTail(MalformedRecord),
 }
 
-impl ViewOutcome<'_> {
-    /// Copies the outcome out into its owned [`RecordOutcome`] form.
-    pub fn to_owned(&self) -> RecordOutcome {
-        match self {
-            ViewOutcome::Record(v) => RecordOutcome::Record(v.to_owned()),
-            ViewOutcome::Skipped(m) => RecordOutcome::Skipped(*m),
-            ViewOutcome::TruncatedTail(m) => RecordOutcome::TruncatedTail(*m),
-        }
-    }
-}
-
 /// Zero-copy recovering pcap reader over an in-memory byte slice.
 ///
-/// Parses the same global-header dialects as [`PcapReader`] (both endians,
-/// micro- and nanosecond magic) and applies the same per-record validation
-/// in the same order, but yields borrowed [`RecordView`]s instead of
-/// allocating a `Vec<u8>` per record. Because the whole file is addressable,
-/// recovery is a cursor adjustment: skipping a damaged record advances the
-/// offset past its advertised bytes, and no copy-out is ever needed to
-/// re-synchronize — the "copy-out at re-sync boundaries" obligation of
-/// streaming readers vanishes in slice mode.
+/// Parses both endians and micro- and nanosecond magic, validates each
+/// record's lengths in a fixed order (snaplen, [`MAX_RECORD_LEN`],
+/// `incl_len ≤ orig_len`) so the same damage always reports the same
+/// reason, and yields borrowed [`RecordView`]s instead of allocating a
+/// `Vec<u8>` per record. Because the whole file is addressable, recovery is
+/// a cursor adjustment: skipping a damaged record advances the offset past
+/// its advertised bytes, and no copy-out is ever needed to re-synchronize.
 pub struct SliceReader<'a> {
     data: &'a [u8],
     pos: usize,
@@ -530,10 +257,10 @@ impl<'a> SliceReader<'a> {
     /// Reads the next record with skip-and-count recovery, or `None` at end
     /// of file.
     ///
-    /// Infallible (unlike the streaming reader there is no I/O to fail):
-    /// damage maps to [`ViewOutcome::Skipped`] / [`ViewOutcome::TruncatedTail`]
-    /// exactly as [`PcapReader::read_record_recovering`] maps it, including
-    /// the reported-once-then-EOF truncation semantics.
+    /// Infallible (there is no I/O to fail): a record with a rejected
+    /// length field is skipped and reported as [`ViewOutcome::Skipped`]; a
+    /// file cut off mid-record, or a skip that runs off its end, yields
+    /// [`ViewOutcome::TruncatedTail`] once and then end-of-file.
     #[allow(clippy::should_implement_trait)]
     pub fn read_record_recovering(&mut self) -> Option<ViewOutcome<'a>> {
         if self.exhausted {
@@ -559,8 +286,8 @@ impl<'a> SliceReader<'a> {
             }
         };
         let (ts_sec, ts_frac, incl_len, orig_len) = (field(0), field(4), field(8), field(12));
-        // Same validation order as the streaming reader so the same damage
-        // produces the same MalformedRecord reason.
+        // A fixed validation order, so the same damage always produces the
+        // same MalformedRecord reason.
         let malformed = if self.snaplen != 0 && incl_len > self.snaplen {
             Some(MalformedRecord::SnaplenExceeded {
                 incl_len,
@@ -577,7 +304,7 @@ impl<'a> SliceReader<'a> {
         let end = body.checked_add(incl_len as usize);
         if let Some(m) = malformed {
             // Skip the advertised bytes; a skip running off the end of the
-            // slice is the streaming reader's discard-hit-EOF case.
+            // slice ends the file like a truncated record.
             return Some(match end {
                 Some(end) if end <= self.data.len() => {
                     self.pos = end;
@@ -676,8 +403,8 @@ enum Backing {
 /// identically — the fallback changes memory residency, never statistics.
 ///
 /// The mapping snapshots the file's length at open time; bytes appended by
-/// a still-running capture process are picked up by the *next* open, which
-/// matches the buffered reader's behavior of reading to the EOF it sees.
+/// a still-running capture process are picked up by the *next* open, just
+/// as the buffered fallback reads to the EOF it sees.
 pub struct MappedPcap {
     backing: Backing,
 }
@@ -697,8 +424,7 @@ impl MappedPcap {
         {
             let len = file.metadata()?.len();
             // mmap(2) rejects zero-length mappings; tiny or empty files go
-            // through the fallback (and then fail header validation with
-            // the same error the streaming reader reports).
+            // through the fallback (and then fail header validation).
             if len > 0 && usize::try_from(len).is_ok() {
                 use std::os::unix::io::AsRawFd;
                 let len = len as usize;
@@ -817,51 +543,18 @@ mod tests {
             w.write_record(r).unwrap();
         }
         let bytes = w.into_inner().unwrap();
-        let reader = PcapReader::new(&bytes[..]).unwrap();
-        let back: Vec<PcapRecord> = reader.map(Result::unwrap).collect();
+        let back: Vec<PcapRecord> = SliceReader::new(&bytes)
+            .unwrap()
+            .map(|o| match o {
+                ViewOutcome::Record(v) => PcapRecord {
+                    ts: v.ts,
+                    ts_micros: v.ts_micros,
+                    data: v.data.to_vec(),
+                },
+                other => panic!("clean file yielded {other:?}"),
+            })
+            .collect();
         assert_eq!(back, records);
-    }
-
-    #[test]
-    fn chunked_reading_is_boundary_invisible() {
-        // Good records plus a damaged one plus a truncated tail: chunked
-        // iteration must yield exactly the outcome sequence the plain
-        // recovering loop produces, at any chunk size.
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        for r in sample_records() {
-            w.write_record(&r).unwrap();
-        }
-        let mut bytes = w.into_inner().unwrap();
-        // incl_len 8 > orig_len 2, body present → Skipped(LengthInconsistent).
-        bytes.extend_from_slice(&9u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&8u32.to_le_bytes());
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        bytes.extend_from_slice(&[0xab; 8]);
-        bytes.extend_from_slice(&[0u8; 5]); // header cut off by EOF
-        let mut reference = Vec::new();
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        while let Some(outcome) = r.read_record_recovering().unwrap() {
-            reference.push(outcome);
-        }
-        assert!(reference
-            .iter()
-            .any(|o| matches!(o, RecordOutcome::Skipped(_))));
-        assert!(reference
-            .iter()
-            .any(|o| matches!(o, RecordOutcome::TruncatedTail(_))));
-        for chunk in [1usize, 2, 1000] {
-            let reader = PcapReader::new(&bytes[..]).unwrap();
-            let mut chunk_sizes = Vec::new();
-            let mut chunked: Vec<RecordOutcome> = Vec::new();
-            for c in PcapChunks::new(reader, chunk) {
-                let c = c.unwrap();
-                chunk_sizes.push(c.len());
-                chunked.extend(c);
-            }
-            assert_eq!(chunked, reference, "chunk size {chunk}");
-            assert!(chunk_sizes.iter().all(|&n| n >= 1 && n <= chunk));
-        }
     }
 
     #[test]
@@ -879,85 +572,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn reader_rejects_bad_magic() {
-        let bytes = [0u8; 24];
-        assert!(matches!(
-            PcapReader::new(&bytes[..]),
-            Err(PacketError::BadPcapMagic(0))
-        ));
-    }
-
-    #[test]
-    fn reader_rejects_wrong_linktype() {
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        w.write_record(&sample_records()[0]).unwrap();
-        let mut bytes = w.into_inner().unwrap();
-        bytes[20..24].copy_from_slice(&1u32.to_le_bytes()); // LINKTYPE_ETHERNET
-        assert!(matches!(
-            PcapReader::new(&bytes[..]),
-            Err(PacketError::UnsupportedLinkType(1))
-        ));
-    }
-
-    #[test]
-    fn reader_accepts_big_endian_files() {
-        // Hand-build a big-endian header + one record.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC_LE_US.to_be_bytes());
-        bytes.extend_from_slice(&2u16.to_be_bytes());
-        bytes.extend_from_slice(&4u16.to_be_bytes());
-        bytes.extend_from_slice(&0i32.to_be_bytes());
-        bytes.extend_from_slice(&0u32.to_be_bytes());
-        bytes.extend_from_slice(&65_535u32.to_be_bytes());
-        bytes.extend_from_slice(&LINKTYPE_RAW.to_be_bytes());
-        bytes.extend_from_slice(&42u32.to_be_bytes()); // ts_sec
-        bytes.extend_from_slice(&7u32.to_be_bytes()); // ts_usec
-        bytes.extend_from_slice(&3u32.to_be_bytes()); // incl
-        bytes.extend_from_slice(&3u32.to_be_bytes()); // orig
-        bytes.extend_from_slice(&[0xaa, 0xbb, 0xcc]);
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        let rec = r.read_record().unwrap().unwrap();
-        assert_eq!(rec.ts.as_secs(), 42);
-        assert_eq!(rec.ts_micros, 7);
-        assert_eq!(rec.data, vec![0xaa, 0xbb, 0xcc]);
-        assert!(r.read_record().unwrap().is_none());
-    }
-
-    #[test]
-    fn nanosecond_magic_scales_to_micros() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC_LE_NS.to_le_bytes());
-        bytes.extend_from_slice(&2u16.to_le_bytes());
-        bytes.extend_from_slice(&4u16.to_le_bytes());
-        bytes.extend_from_slice(&0i32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&65_535u32.to_le_bytes());
-        bytes.extend_from_slice(&LINKTYPE_RAW.to_le_bytes());
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&5_000_000u32.to_le_bytes()); // 5 ms in ns
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.push(0x60);
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        let rec = r.read_record().unwrap().unwrap();
-        assert_eq!(rec.ts_micros, 5000);
-    }
-
-    #[test]
-    fn truncated_record_is_an_error_not_a_panic() {
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        w.write_record(&sample_records()[0]).unwrap();
-        let bytes = w.into_inner().unwrap();
-        let mut r = PcapReader::new(&bytes[..bytes.len() - 4]).unwrap();
-        assert!(matches!(
-            r.read_record(),
-            Err(PacketError::Malformed(
-                MalformedRecord::TruncatedBody { .. }
-            ))
-        ));
-    }
-
     /// Appends a raw record header (+ body) to `bytes` in LE layout.
     fn push_record(bytes: &mut Vec<u8>, incl: u32, orig: u32, body: &[u8]) {
         bytes.extend_from_slice(&1u32.to_le_bytes());
@@ -965,166 +579,6 @@ mod tests {
         bytes.extend_from_slice(&incl.to_le_bytes());
         bytes.extend_from_slice(&orig.to_le_bytes());
         bytes.extend_from_slice(body);
-    }
-
-    #[test]
-    fn oversized_incl_len_is_a_typed_error_without_allocation() {
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        w.write_record(&sample_records()[0]).unwrap();
-        let mut bytes = w.into_inner().unwrap();
-        // Overwrite incl_len with a 4 GiB-adjacent value.
-        bytes[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        assert!(matches!(
-            r.read_record(),
-            Err(PacketError::Malformed(MalformedRecord::SnaplenExceeded {
-                incl_len: u32::MAX,
-                snaplen: 65_535,
-            }))
-        ));
-    }
-
-    #[test]
-    fn cap_applies_when_the_file_snaplen_is_absurd() {
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        w.write_record(&sample_records()[0]).unwrap();
-        let mut bytes = w.into_inner().unwrap();
-        bytes[16..20].copy_from_slice(&u32::MAX.to_le_bytes()); // snaplen
-        bytes[32..36].copy_from_slice(&(MAX_RECORD_LEN + 1).to_le_bytes());
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        assert_eq!(r.snaplen(), u32::MAX);
-        assert!(matches!(
-            r.read_record(),
-            Err(PacketError::Malformed(MalformedRecord::CapExceeded { .. }))
-        ));
-    }
-
-    #[test]
-    fn recovering_reader_skips_bad_record_and_resynchronizes() {
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        let records = sample_records();
-        w.write_record(&records[0]).unwrap();
-        let mut bytes = w.into_inner().unwrap();
-        // A record whose incl_len (8) exceeds its orig_len (4): contradictory
-        // lengths, but the 8 advertised body bytes are present, so the reader
-        // can skip straight over them.
-        push_record(&mut bytes, 8, 4, &[0xeeu8; 8]);
-        // A well-formed record after the damage.
-        push_record(&mut bytes, 3, 3, &[1, 2, 3]);
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        assert!(matches!(
-            r.read_record_recovering().unwrap(),
-            Some(RecordOutcome::Record(rec)) if rec == records[0]
-        ));
-        assert!(matches!(
-            r.read_record_recovering().unwrap(),
-            Some(RecordOutcome::Skipped(
-                MalformedRecord::LengthInconsistent {
-                    incl_len: 8,
-                    orig_len: 4,
-                }
-            ))
-        ));
-        assert!(matches!(
-            r.read_record_recovering().unwrap(),
-            Some(RecordOutcome::Record(rec)) if rec.data == [1, 2, 3]
-        ));
-        assert!(r.read_record_recovering().unwrap().is_none());
-    }
-
-    #[test]
-    fn truncated_tail_is_reported_once_then_eof() {
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        let records = sample_records();
-        w.write_record(&records[0]).unwrap();
-        w.write_record(&records[1]).unwrap();
-        let bytes = w.into_inner().unwrap();
-        // Cut the file off inside the second record's body.
-        let mut r = PcapReader::new(&bytes[..bytes.len() - 2]).unwrap();
-        assert!(matches!(
-            r.read_record_recovering().unwrap(),
-            Some(RecordOutcome::Record(_))
-        ));
-        assert!(matches!(
-            r.read_record_recovering().unwrap(),
-            Some(RecordOutcome::TruncatedTail(
-                MalformedRecord::TruncatedBody { .. }
-            ))
-        ));
-        assert!(r.read_record_recovering().unwrap().is_none());
-        assert!(r.read_record_recovering().unwrap().is_none());
-    }
-
-    #[test]
-    fn skip_hitting_eof_counts_as_truncated_tail() {
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        w.write_record(&sample_records()[0]).unwrap();
-        let mut bytes = w.into_inner().unwrap();
-        // Damaged record advertising 100 body bytes, of which only 5 exist.
-        push_record(&mut bytes, 100, 50, &[0u8; 5]);
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        assert!(matches!(
-            r.read_record_recovering().unwrap(),
-            Some(RecordOutcome::Record(_))
-        ));
-        assert!(matches!(
-            r.read_record_recovering().unwrap(),
-            Some(RecordOutcome::TruncatedTail(
-                MalformedRecord::LengthInconsistent { .. }
-            ))
-        ));
-        assert!(r.read_record_recovering().unwrap().is_none());
-    }
-
-    /// Streams `bytes` through both the owned recovering reader and the
-    /// zero-copy slice reader and asserts identical outcome sequences.
-    fn assert_readers_agree(bytes: &[u8]) {
-        let mut owned = Vec::new();
-        let mut r = PcapReader::new(bytes).unwrap();
-        while let Some(outcome) = r.read_record_recovering().unwrap() {
-            owned.push(outcome);
-        }
-        let borrowed: Vec<RecordOutcome> = SliceReader::new(bytes)
-            .unwrap()
-            .map(|o| o.to_owned())
-            .collect();
-        assert_eq!(borrowed, owned);
-    }
-
-    #[test]
-    fn slice_reader_matches_streaming_reader_on_clean_files() {
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        for r in sample_records() {
-            w.write_record(&r).unwrap();
-        }
-        assert_readers_agree(&w.into_inner().unwrap());
-    }
-
-    #[test]
-    fn slice_reader_matches_streaming_reader_on_damage() {
-        // Same damage catalog the owned-reader tests use: inconsistent
-        // lengths mid-file, a skip running off EOF, a truncated header.
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        for r in sample_records() {
-            w.write_record(&r).unwrap();
-        }
-        let clean = w.into_inner().unwrap();
-
-        let mut skipped = clean.clone();
-        push_record(&mut skipped, 8, 4, &[0xee; 8]);
-        push_record(&mut skipped, 3, 3, &[1, 2, 3]);
-        assert_readers_agree(&skipped);
-
-        let mut tail_skip = clean.clone();
-        push_record(&mut tail_skip, 100, 50, &[0u8; 5]);
-        assert_readers_agree(&tail_skip);
-
-        let mut cut_header = clean.clone();
-        cut_header.extend_from_slice(&[0u8; 7]);
-        assert_readers_agree(&cut_header);
-
-        let cut_body = &clean[..clean.len() - 2];
-        assert_readers_agree(cut_body);
     }
 
     #[test]
@@ -1142,13 +596,8 @@ mod tests {
         assert_eq!(views.len(), 1);
         let state = first.state();
         assert!(state.offset() > 24, "cursor moved past the global header");
-        let rest: Vec<RecordOutcome> = SliceReader::resume(&bytes, state)
-            .map(|o| o.to_owned())
-            .collect();
-        let full: Vec<RecordOutcome> = SliceReader::new(&bytes)
-            .unwrap()
-            .map(|o| o.to_owned())
-            .collect();
+        let rest: Vec<ViewOutcome> = SliceReader::resume(&bytes, state).collect();
+        let full: Vec<ViewOutcome> = SliceReader::new(&bytes).unwrap().collect();
         assert_eq!(rest, full[1..]);
     }
 
@@ -1242,23 +691,31 @@ mod tests {
 
     #[test]
     fn slice_chunks_are_boundary_invisible() {
+        // Good records plus a damaged one plus a truncated tail: chunked
+        // iteration must yield exactly the outcome sequence the plain
+        // recovering loop produces, at any chunk size.
         let mut w = PcapWriter::new(Vec::new()).unwrap();
         for r in sample_records() {
             w.write_record(&r).unwrap();
         }
         let mut bytes = w.into_inner().unwrap();
         push_record(&mut bytes, 8, 2, &[0xab; 8]);
-        let reference: Vec<RecordOutcome> = SliceReader::new(&bytes)
-            .unwrap()
-            .map(|o| o.to_owned())
-            .collect();
+        bytes.extend_from_slice(&[0u8; 5]); // header cut off by EOF
+        let reference: Vec<ViewOutcome> = SliceReader::new(&bytes).unwrap().collect();
+        assert!(reference
+            .iter()
+            .any(|o| matches!(o, ViewOutcome::Skipped(_))));
+        assert!(matches!(
+            reference.last(),
+            Some(ViewOutcome::TruncatedTail(_))
+        ));
         for chunk in [1usize, 2, 1000] {
             let mut r = SliceReader::new(&bytes).unwrap();
             let mut buf = Vec::new();
             let mut collected = Vec::new();
             while r.next_chunk(chunk, &mut buf) {
                 assert!(!buf.is_empty() && buf.len() <= chunk);
-                collected.extend(buf.iter().map(|o| o.to_owned()));
+                collected.extend_from_slice(&buf);
             }
             assert_eq!(collected, reference, "chunk size {chunk}");
         }
@@ -1281,8 +738,8 @@ mod tests {
         let buffered = MappedPcap::open_buffered(&path).unwrap();
         assert!(!buffered.used_mmap());
         assert_eq!(mapped.data(), buffered.data());
-        let a: Vec<RecordOutcome> = mapped.reader().unwrap().map(|o| o.to_owned()).collect();
-        let b: Vec<RecordOutcome> = buffered.reader().unwrap().map(|o| o.to_owned()).collect();
+        let a: Vec<ViewOutcome> = mapped.reader().unwrap().collect();
+        let b: Vec<ViewOutcome> = buffered.reader().unwrap().collect();
         assert_eq!(a, b);
         assert_eq!(a.len(), 3);
         std::fs::remove_file(&path).unwrap();
@@ -1333,9 +790,11 @@ mod tests {
         assert_eq!(bytes.len(), 24 + 16 + 65_535);
         // The clipped record reads back cleanly (incl_len < orig_len is a
         // legitimate snaplen clip, not damage).
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        let back = r.read_record().unwrap().unwrap();
-        assert_eq!(back.data.len(), 65_535);
-        assert!(r.read_record().unwrap().is_none());
+        let mut r = SliceReader::new(&bytes).unwrap();
+        match r.next() {
+            Some(ViewOutcome::Record(back)) => assert_eq!(back.data.len(), 65_535),
+            other => panic!("expected the clipped record, got {other:?}"),
+        }
+        assert!(r.next().is_none());
     }
 }

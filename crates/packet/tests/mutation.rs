@@ -10,12 +10,14 @@
 //! * the walk always terminates (the test finishing is the proof),
 //! * the outcome is a pure function of the bytes: the same seed produces
 //!   the same aggregate statistics on every run,
-//! * the zero-copy [`SliceReader`] agrees with the owned [`PcapReader`]
-//!   outcome-for-outcome on every mutant (DESIGN.md §11).
+//! * the zero-copy [`SliceReader`] agrees with the independent owned
+//!   [`PcapReader`] from `sixscope-oracle` outcome-for-outcome on every
+//!   mutant (DESIGN.md §11).
 
+use sixscope_oracle::{owned, PcapReader, RecordOutcome};
 use sixscope_packet::{
-    MalformedRecord, PacketBuilder, ParsedPacket, PcapReader, PcapRecord, PcapWriter,
-    RecordOutcome, SliceReader, MAX_RECORD_LEN,
+    MalformedRecord, PacketBuilder, ParsedView, PcapRecord, PcapWriter, SliceReader, ViewOutcome,
+    MAX_RECORD_LEN,
 };
 use sixscope_types::{SimTime, Xoshiro256pp};
 
@@ -149,7 +151,7 @@ fn run(seed: u64, mutations: usize) -> RunSummary {
         let mut slice_reader =
             SliceReader::new(&buf).expect("slice reader rejected a header the owned reader took");
         loop {
-            let view = slice_reader.read_record_recovering().map(|v| v.to_owned());
+            let view = slice_reader.read_record_recovering().map(|v| owned(&v));
             match reader.read_record_recovering() {
                 Ok(None) => {
                     assert_eq!(view, None, "slice reader yielded past owned EOF");
@@ -168,7 +170,7 @@ fn run(seed: u64, mutations: usize) -> RunSummary {
                     );
                     s.records += 1;
                     mix(&mut s, rec.data.len() as u64);
-                    match ParsedPacket::parse(&rec.data) {
+                    match ParsedView::parse(&rec.data) {
                         Ok(p) => {
                             s.packets_parsed += 1;
                             mix(
@@ -222,25 +224,31 @@ fn mutated_captures_never_panic_overallocate_or_diverge() {
 
 #[test]
 fn sliced_corpus_prefixes_never_panic() {
-    // Every prefix of the clean corpus: EOF at each possible byte offset.
+    // Every prefix of the clean corpus: EOF at each possible byte offset,
+    // read by the slice reader and pinned to the owned reference.
     let base = base_corpus();
     for end in 0..base.len() {
-        if let Ok(mut r) = PcapReader::new(&base[..end]) {
-            while let Ok(Some(outcome)) = r.read_record_recovering() {
-                if let RecordOutcome::Record(rec) = outcome {
-                    assert!(rec.data.len() as u32 <= MAX_RECORD_LEN);
-                }
+        let prefix = &base[..end];
+        let Ok(reader) = SliceReader::new(prefix) else {
+            assert!(PcapReader::new(prefix).is_err());
+            continue;
+        };
+        let mut reference = PcapReader::new(prefix).unwrap();
+        for view in reader {
+            if let ViewOutcome::Record(rec) = view {
+                assert!(rec.data.len() as u32 <= MAX_RECORD_LEN);
             }
+            assert_eq!(
+                Some(owned(&view)),
+                reference.read_record_recovering().unwrap()
+            );
         }
+        assert_eq!(reference.read_record_recovering().unwrap(), None);
     }
     // A fully truncated tail at every record boundary flags as such.
-    let mut r = PcapReader::new(&base[..base.len() - 1]).unwrap();
-    let mut saw_tail = false;
-    while let Some(outcome) = r.read_record_recovering().unwrap() {
-        if matches!(outcome, RecordOutcome::TruncatedTail(m) if m.is_truncation()) {
-            saw_tail = true;
-        }
-    }
+    let saw_tail = SliceReader::new(&base[..base.len() - 1])
+        .unwrap()
+        .any(|o| matches!(o, ViewOutcome::TruncatedTail(m) if m.is_truncation()));
     assert!(saw_tail);
 }
 

@@ -2,9 +2,22 @@
 //! the same fields with a valid checksum, and pcap round-trips are lossless.
 
 use proptest::prelude::*;
-use sixscope_packet::{PacketBuilder, ParsedPacket, PcapReader, PcapRecord, PcapWriter, Transport};
+use sixscope_oracle::{owned, PcapReader, RecordOutcome};
+use sixscope_packet::{PacketBuilder, ParsedView, PcapRecord, PcapWriter, SliceReader, Transport};
 use sixscope_types::SimTime;
 use std::net::Ipv6Addr;
+
+/// Reads a pcap image back through the slice reader, requiring every
+/// outcome to be a complete record.
+fn read_records(bytes: &[u8]) -> Vec<PcapRecord> {
+    SliceReader::new(bytes)
+        .unwrap()
+        .map(|o| match owned(&o) {
+            RecordOutcome::Record(rec) => rec,
+            other => panic!("clean image yielded {other:?}"),
+        })
+        .collect()
+}
 
 fn arb_addr() -> impl Strategy<Value = Ipv6Addr> {
     any::<u128>().prop_map(Ipv6Addr::from)
@@ -25,7 +38,7 @@ proptest! {
         let bytes = PacketBuilder::new(src, dst)
             .hop_limit(hop)
             .icmpv6_echo_request(id, seq, &payload);
-        let p = ParsedPacket::parse(&bytes).unwrap();
+        let p = ParsedView::parse(&bytes).unwrap();
         prop_assert_eq!(p.header.src, src);
         prop_assert_eq!(p.header.dst, dst);
         prop_assert_eq!(p.header.hop_limit, hop);
@@ -36,7 +49,7 @@ proptest! {
             }
             ref other => prop_assert!(false, "wrong transport {:?}", other),
         }
-        prop_assert_eq!(&p.payload[..], &payload[..]);
+        prop_assert_eq!(p.payload, &payload[..]);
         // Checksums must verify.
         let upper = &bytes[40..];
         prop_assert!(sixscope_packet::icmpv6::Icmpv6Header::verify_checksum(src, dst, upper));
@@ -49,10 +62,10 @@ proptest! {
         payload in arb_payload(),
     ) {
         let bytes = PacketBuilder::new(src, dst).tcp_syn(sp, dp, seq, &payload);
-        let p = ParsedPacket::parse(&bytes).unwrap();
+        let p = ParsedView::parse(&bytes).unwrap();
         prop_assert_eq!(p.src_port(), Some(sp));
         prop_assert_eq!(p.dst_port(), Some(dp));
-        prop_assert_eq!(&p.payload[..], &payload[..]);
+        prop_assert_eq!(p.payload, &payload[..]);
         let upper = &bytes[40..];
         prop_assert!(sixscope_packet::tcp::TcpHeader::verify_checksum(src, dst, upper));
     }
@@ -64,17 +77,17 @@ proptest! {
         payload in arb_payload(),
     ) {
         let bytes = PacketBuilder::new(src, dst).udp(sp, dp, &payload);
-        let p = ParsedPacket::parse(&bytes).unwrap();
+        let p = ParsedView::parse(&bytes).unwrap();
         prop_assert_eq!(p.src_port(), Some(sp));
         prop_assert_eq!(p.dst_port(), Some(dp));
-        prop_assert_eq!(&p.payload[..], &payload[..]);
+        prop_assert_eq!(p.payload, &payload[..]);
         let upper = &bytes[40..];
         prop_assert!(sixscope_packet::udp::UdpHeader::verify_checksum(src, dst, upper));
     }
 
     #[test]
     fn parse_never_panics_on_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let _ = ParsedPacket::parse(&bytes);
+        let _ = ParsedView::parse(&bytes);
     }
 
     #[test]
@@ -110,8 +123,7 @@ proptest! {
             put32(&mut bytes, data.len() as u32);
             bytes.extend_from_slice(data);
         }
-        let reader = PcapReader::new(&bytes[..]).unwrap();
-        let back: Vec<PcapRecord> = reader.map(Result::unwrap).collect();
+        let back = read_records(&bytes);
         prop_assert_eq!(back.len(), records.len());
         for (rec, (ts, us, data)) in back.iter().zip(&records) {
             prop_assert_eq!(rec.ts, SimTime::from_secs(*ts as u64));
@@ -130,7 +142,8 @@ proptest! {
     ) {
         // Valid records followed by arbitrary garbage: the recovering
         // reader must yield every valid record, then classify the damage
-        // without ever returning a hard error on in-memory input.
+        // exactly as the owned reference does, which never returns a hard
+        // error on in-memory input.
         let mut w = PcapWriter::new(Vec::new()).unwrap();
         for data in &prefix_records {
             w.write_record(&PcapRecord {
@@ -141,10 +154,17 @@ proptest! {
         }
         let mut bytes = w.into_inner().unwrap();
         bytes.extend_from_slice(&garbage);
+        let mut reference = Vec::new();
         let mut r = PcapReader::new(&bytes[..]).unwrap();
-        let mut yielded = 0usize;
         while let Some(outcome) = r.read_record_recovering().unwrap() {
-            if let sixscope_packet::RecordOutcome::Record(rec) = outcome {
+            reference.push(outcome);
+        }
+        let outcomes: Vec<RecordOutcome> =
+            SliceReader::new(&bytes).unwrap().map(|o| owned(&o)).collect();
+        prop_assert_eq!(&outcomes, &reference);
+        let mut yielded = 0usize;
+        for outcome in &outcomes {
+            if let RecordOutcome::Record(rec) = outcome {
                 if yielded < prefix_records.len() {
                     prop_assert_eq!(&rec.data, &prefix_records[yielded]);
                 }
@@ -174,10 +194,6 @@ proptest! {
             w.write_record(r).unwrap();
         }
         let bytes = w.into_inner().unwrap();
-        let back: Vec<PcapRecord> = PcapReader::new(&bytes[..])
-            .unwrap()
-            .map(Result::unwrap)
-            .collect();
-        prop_assert_eq!(back, records);
+        prop_assert_eq!(read_records(&bytes), records);
     }
 }

@@ -541,7 +541,7 @@ impl ScanContext for StaticContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sixscope_packet::ParsedPacket;
+    use sixscope_packet::ParsedView;
 
     fn p(s: &str) -> Ipv6Prefix {
         s.parse().unwrap()
@@ -603,10 +603,10 @@ mod tests {
         let mut bytes = Vec::new();
         for probe in &probes {
             probe.encode_into(&mut bytes);
-            let parsed = ParsedPacket::parse(&bytes).expect("wire bytes parse");
+            let parsed = ParsedView::parse(&bytes).expect("wire bytes parse");
             assert_eq!(parsed.header.src, probe.src);
             assert_eq!(parsed.header.dst, probe.dst);
-            assert_eq!(&parsed.payload[..], &probe.payload[..]);
+            assert_eq!(parsed.payload, &probe.payload[..]);
         }
     }
 

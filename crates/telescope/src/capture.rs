@@ -9,7 +9,7 @@
 use crate::config::{TelescopeConfig, TelescopeId};
 use bytes::Bytes;
 use sixscope_packet::{
-    MalformedRecord, ParsedView, PcapRecord, PcapWriter, RecordOutcome, Transport, ViewOutcome,
+    MalformedRecord, ParsedView, PcapRecord, PcapWriter, Transport, ViewOutcome,
 };
 use sixscope_types::SimTime;
 use std::fmt;
@@ -17,7 +17,7 @@ use std::io::Write;
 use std::net::Ipv6Addr;
 
 /// Statistics of one recoverable pcap ingest run
-/// ([`Capture::ingest_pcap_recovering`]).
+/// ([`Capture::extend_from_views`] over a [`sixscope_packet::SliceReader`]).
 ///
 /// The counts partition everything the reader encountered:
 /// `records_read = parsed + filtered + malformed_packets`, and damaged pcap
@@ -446,63 +446,10 @@ impl Capture {
         self.malformed
     }
 
-    /// Reads a pcap stream into this capture, applying the same filter.
-    ///
-    /// Fail-fast: the first damaged record aborts with an error. Real
-    /// telescope captures should use [`Capture::ingest_pcap_recovering`],
-    /// which confines damage to the record it occurs in.
-    pub fn ingest_pcap<R: std::io::Read>(
-        &mut self,
-        reader: R,
-    ) -> Result<usize, sixscope_packet::PacketError> {
-        let mut count = 0;
-        for rec in sixscope_packet::PcapReader::new(reader)? {
-            let rec = rec?;
-            if self.ingest(rec.ts, &rec.data) {
-                count += 1;
-            }
-        }
-        Ok(count)
-    }
-
-    /// Reads a pcap stream with skip-and-count recovery: damaged records
-    /// are skipped (tallied per reason), a file cut off mid-record yields
-    /// every complete record plus the `truncated_tail` marker, and only
-    /// file-level problems — unreadable global header, wrong link type,
-    /// real I/O failure — abort with `Err`.
-    pub fn ingest_pcap_recovering<R: std::io::Read>(
-        &mut self,
-        reader: R,
-    ) -> Result<IngestStats, sixscope_packet::PacketError> {
-        let mut r = sixscope_packet::PcapReader::new(reader)?;
-        let mut stats = IngestStats::default();
-        while let Some(outcome) = r.read_record_recovering()? {
-            self.apply_outcome(outcome, &mut stats);
-        }
-        Ok(stats)
-    }
-
     /// Applies one recovering-reader outcome: a complete record is ingested
     /// (filtered/malformed-packet tallies included), a damaged one is
-    /// counted by reason. The streaming pipeline drives this per chunk;
-    /// [`Capture::ingest_pcap_recovering`] is the same loop over a whole
-    /// file.
-    pub fn apply_outcome(&mut self, outcome: RecordOutcome, stats: &mut IngestStats) {
-        match outcome {
-            RecordOutcome::Record(rec) => self.apply_record(rec.ts, &rec.data, stats),
-            RecordOutcome::Skipped(m) => {
-                stats.skipped[m.reason_index()] += 1;
-            }
-            RecordOutcome::TruncatedTail(m) => {
-                stats.skipped[m.reason_index()] += 1;
-                stats.truncated_tail = true;
-            }
-        }
-    }
-
-    /// Zero-copy twin of [`Capture::apply_outcome`]: applies one borrowed
-    /// [`ViewOutcome`] with identical statistics semantics, without the
-    /// owned `Vec<u8>` per record.
+    /// counted by reason, and a truncated tail also sets
+    /// [`IngestStats::truncated_tail`].
     pub fn apply_outcome_view(&mut self, outcome: &ViewOutcome<'_>, stats: &mut IngestStats) {
         match outcome {
             ViewOutcome::Record(rec) => self.apply_record(rec.ts, rec.data, stats),
@@ -545,10 +492,18 @@ impl Capture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sixscope_packet::PacketBuilder;
+    use sixscope_packet::{PacketBuilder, SliceReader};
 
     fn t3_capture() -> Capture {
         Capture::new(TelescopeConfig::t3("2001:db8:3::/48".parse().unwrap()))
+    }
+
+    /// Ingests a whole in-memory pcap image as one chunk of views.
+    fn ingest_image(cap: &mut Capture, bytes: &[u8]) -> IngestStats {
+        let views: Vec<ViewOutcome> = SliceReader::new(bytes).unwrap().collect();
+        let mut stats = IngestStats::default();
+        cap.extend_from_views(&views, &mut stats);
+        stats
     }
 
     fn probe(dst: &str) -> Vec<u8> {
@@ -703,10 +658,14 @@ mod tests {
         let raw = probe("2001:db8:3::42");
         cap.ingest(SimTime::from_secs(77), &raw);
         let bytes = buf.0.lock().unwrap().clone();
-        let mut reader = sixscope_packet::PcapReader::new(&bytes[..]).unwrap();
-        let rec = reader.read_record().unwrap().unwrap();
-        assert_eq!(rec.ts.as_secs(), 77);
-        assert_eq!(rec.data, raw);
+        let mut reader = SliceReader::new(&bytes).unwrap();
+        match reader.next() {
+            Some(ViewOutcome::Record(rec)) => {
+                assert_eq!(rec.ts.as_secs(), 77);
+                assert_eq!(rec.data, &raw[..]);
+            }
+            other => panic!("expected the teed record, got {other:?}"),
+        }
     }
 
     #[test]
@@ -744,7 +703,7 @@ mod tests {
         bytes.extend_from_slice(&[0u8; 7]);
 
         let mut cap = t3_capture();
-        let stats = cap.ingest_pcap_recovering(&bytes[..]).unwrap();
+        let stats = ingest_image(&mut cap, &bytes);
         assert_eq!(stats.records_read, 4);
         assert_eq!(stats.parsed, 2);
         assert_eq!(stats.filtered, 1);
@@ -781,8 +740,8 @@ mod tests {
         .unwrap();
         let bytes = w.into_inner().unwrap();
         let mut cap = t3_capture();
-        let n = cap.ingest_pcap(&bytes[..]).unwrap();
-        assert_eq!(n, 1);
+        let stats = ingest_image(&mut cap, &bytes);
+        assert_eq!(stats.parsed, 1);
         assert_eq!(cap.len(), 1);
         assert_eq!(cap.filtered(), 1);
     }

@@ -677,6 +677,16 @@ mod tests {
         w.into_inner().unwrap()
     }
 
+    /// The batch reference: the whole image through one
+    /// `extend_from_views` call.
+    fn one_chunk_ingest(bytes: &[u8]) -> (Capture, IngestStats) {
+        let views: Vec<ViewOutcome> = SliceReader::new(bytes).unwrap().collect();
+        let mut capture = default_capture();
+        let mut stats = IngestStats::default();
+        capture.extend_from_views(&views, &mut stats);
+        (capture, stats)
+    }
+
     fn temp_file(name: &str, bytes: &[u8]) -> PathBuf {
         let path = std::env::temp_dir().join(format!(
             "sixscope-telescope-feed-{}-{name}",
@@ -699,8 +709,7 @@ mod tests {
             }
         }
         let (capture, stats, file_stats) = feed.finish();
-        let mut reference = default_capture();
-        let ref_stats = reference.ingest_pcap_recovering(&bytes[..]).unwrap();
+        let (reference, ref_stats) = one_chunk_ingest(&bytes);
         assert_eq!(capture.packets(), reference.packets());
         assert_eq!(stats, ref_stats);
         assert_eq!(file_stats.len(), 1);
@@ -784,8 +793,7 @@ mod tests {
             }
         }
         let (capture, stats) = feed.finish();
-        let mut reference = default_capture();
-        let ref_stats = reference.ingest_pcap_recovering(&full[..cut]).unwrap();
+        let (reference, ref_stats) = one_chunk_ingest(&full[..cut]);
         assert_eq!(capture.len(), reference.len());
         assert_eq!(stats, ref_stats, "quiesce accounts the tail like batch");
         assert!(stats.truncated_tail);

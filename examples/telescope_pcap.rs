@@ -15,11 +15,12 @@
 
 use sixscope_analysis::classify::{addr_selection, profile_scanners};
 use sixscope_analysis::fingerprint::identify;
+use sixscope_packet::MappedPcap;
 use sixscope_scanners::scanner::StaticContext;
 use sixscope_scanners::{
     AddressStrategy, NetworkStrategy, ScannerSpec, SourceModel, TemporalModel, ToolProfile,
 };
-use sixscope_telescope::{AggLevel, Capture, Sessionizer, TelescopeConfig};
+use sixscope_telescope::{AggLevel, Capture, IngestStats, Sessionizer, TelescopeConfig};
 use sixscope_types::{Asn, SimDuration, SimTime, Xoshiro256pp};
 
 fn main() {
@@ -112,11 +113,17 @@ fn main() {
     );
 
     // --- 3. read back and analyze, as an offline pipeline would ---
-    // The recovering reader is what a real deployment uses: damaged
-    // records are skipped and counted instead of aborting the file.
+    // The same loop `PcapFeed` runs: map the file, walk it with the
+    // recovering reader in chunks, and feed each chunk to the capture.
+    // Damaged records are skipped and counted instead of aborting the file.
     let mut offline = Capture::new(config);
-    let reader = std::fs::File::open(&pcap_path).expect("open pcap");
-    let stats = offline.ingest_pcap_recovering(reader).expect("parse pcap");
+    let mapped = MappedPcap::open(&pcap_path).expect("open pcap");
+    let mut reader = mapped.reader().expect("pcap header");
+    let mut stats = IngestStats::default();
+    let mut views = Vec::new();
+    while reader.next_chunk(4096, &mut views) {
+        offline.extend_from_views(&views, &mut stats);
+    }
     println!("re-read from disk: {stats}");
 
     let sessions = Sessionizer::paper(AggLevel::Addr128).sessionize(&offline);

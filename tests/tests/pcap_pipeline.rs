@@ -1,12 +1,12 @@
 //! Integration: the offline pcap pipeline — capture bytes written to pcap,
 //! read back, and analyzed must yield identical results to the live path.
 
-use sixscope_packet::{PcapReader, PcapWriter};
+use sixscope_packet::{ParsedView, PcapWriter, SliceReader, ViewOutcome};
 use sixscope_scanners::scanner::StaticContext;
 use sixscope_scanners::{
     AddressStrategy, NetworkStrategy, ScannerSpec, SourceModel, TemporalModel, ToolProfile,
 };
-use sixscope_telescope::{AggLevel, Capture, Sessionizer, TelescopeConfig};
+use sixscope_telescope::{AggLevel, Capture, IngestStats, Sessionizer, TelescopeConfig};
 use sixscope_types::{Asn, SimDuration, SimTime, Xoshiro256pp};
 
 fn wire_traffic() -> Vec<(SimTime, Vec<u8>)> {
@@ -73,8 +73,11 @@ fn live_and_offline_pipelines_agree() {
             .unwrap();
     }
     let pcap_bytes = writer.into_inner().unwrap();
+    let views: Vec<ViewOutcome> = SliceReader::new(&pcap_bytes).unwrap().collect();
     let mut offline = Capture::new(config);
-    offline.ingest_pcap(&pcap_bytes[..]).unwrap();
+    let mut stats = IngestStats::default();
+    offline.extend_from_views(&views, &mut stats);
+    assert_eq!(stats.skipped_total(), 0);
 
     assert_eq!(live.packets(), offline.packets());
 
@@ -99,15 +102,19 @@ fn pcap_files_are_self_describing() {
             .unwrap();
     }
     let bytes = writer.into_inner().unwrap();
-    let records: Vec<_> = PcapReader::new(&bytes[..])
+    let records: Vec<_> = SliceReader::new(&bytes)
         .unwrap()
-        .map(Result::unwrap)
+        .map(|outcome| match outcome {
+            ViewOutcome::Record(rec) => rec,
+            other => panic!("clean capture yielded {other:?}"),
+        })
         .collect();
     assert_eq!(records.len(), wire.len());
     for (rec, (ts, data)) in records.iter().zip(&wire) {
         assert_eq!(rec.ts, *ts);
-        assert_eq!(&rec.data, data);
+        assert_eq!(rec.ts_micros, 42);
+        assert_eq!(rec.data, &data[..]);
         // Every record re-parses as a valid IPv6 packet.
-        sixscope_packet::ParsedPacket::parse(&rec.data).unwrap();
+        ParsedView::parse(rec.data).unwrap();
     }
 }

@@ -3,9 +3,10 @@
 //! the mmap backing must be a pure residency optimization.
 //!
 //! * Borrow-vs-owned equivalence: every corpus file — and thousands of
-//!   proptest-mutated variants — fed through `Capture::apply_outcome`
-//!   (owned) and `Capture::extend_from_views` (borrowed) yields identical
-//!   [`IngestStats`] and identical per-packet fields.
+//!   proptest-mutated variants — read by the owned reference reader from
+//!   `sixscope-oracle` and applied one record at a time, and read by
+//!   `SliceReader` and fed in chunks through `Capture::extend_from_views`,
+//!   yields identical [`IngestStats`] and identical per-packet fields.
 //! * Fallback: `MappedPcap::open_buffered` (the no-mmap path) produces the
 //!   same bytes, records and statistics as `MappedPcap::open` — the
 //!   backing changes memory residency, never observable output.
@@ -13,7 +14,8 @@
 use proptest::prelude::*;
 use sixscope::ingest::passive_config;
 use sixscope_integration::TempDir;
-use sixscope_packet::{MappedPcap, PcapReader, SliceReader, ViewOutcome};
+use sixscope_oracle::{PcapReader, RecordOutcome};
+use sixscope_packet::{MappedPcap, RecordView, SliceReader, ViewOutcome};
 use sixscope_telescope::{Capture, IngestStats};
 use sixscope_types::Ipv6Prefix;
 use std::path::PathBuf;
@@ -33,14 +35,23 @@ fn telescope_prefix() -> Ipv6Prefix {
     "2001:db8::/32".parse().unwrap()
 }
 
-/// Ingests `bytes` through the owned reader and per-record
-/// `apply_outcome` — the pre-zero-copy path.
+/// Ingests `bytes` through the owned reference reader, applying each
+/// owned record on its own as soon as it is read.
 fn ingest_owned(bytes: &[u8]) -> Option<(Capture, IngestStats)> {
     let mut reader = PcapReader::new(bytes).ok()?;
     let mut capture = Capture::new(passive_config(telescope_prefix()));
     let mut stats = IngestStats::default();
     while let Ok(Some(outcome)) = reader.read_record_recovering() {
-        capture.apply_outcome(outcome, &mut stats);
+        let view = match &outcome {
+            RecordOutcome::Record(rec) => ViewOutcome::Record(RecordView {
+                ts: rec.ts,
+                ts_micros: rec.ts_micros,
+                data: &rec.data,
+            }),
+            RecordOutcome::Skipped(m) => ViewOutcome::Skipped(*m),
+            RecordOutcome::TruncatedTail(m) => ViewOutcome::TruncatedTail(*m),
+        };
+        capture.apply_outcome_view(&view, &mut stats);
     }
     Some((capture, stats))
 }
