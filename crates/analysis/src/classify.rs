@@ -323,9 +323,7 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use sixscope_telescope::{
-        AggLevel, CapturedPacket, Protocol, Sessionizer, TelescopeConfig, TelescopeId,
-    };
+    use sixscope_telescope::{AggLevel, CapturedPacket, Protocol, Sessionizer, TelescopeConfig};
     use sixscope_types::{SimDuration, Xoshiro256pp};
     use std::net::Ipv6Addr;
 
@@ -334,7 +332,6 @@ mod tests {
         for (i, &dst) in targets.iter().enumerate() {
             cap.push(CapturedPacket {
                 ts: SimTime::from_secs(i as u64),
-                telescope: TelescopeId::T1,
                 src: "2001:db8:f00::1".parse().unwrap(),
                 dst,
                 protocol: Protocol::Icmpv6,

@@ -106,8 +106,9 @@ USAGE:
 
     sixscope shard <capture.pcap> [more.pcap…] --out <file.sixshard>
             [--prefix P] [--chunk N]
-        Ingest and sessionize one worker's captures and write the result
-        as one .sixshard file — the scatter side of federated sharding.
+        Read one worker's captures into one time-sorted capture and write
+        it as one .sixshard file — the scatter side of federated sharding
+        (merge sessionizes and indexes it).
 
     sixscope merge <file.sixshard> [more.sixshard…] [--json]
         Gather .sixshard files (in capture order per telescope) and run
@@ -402,10 +403,7 @@ fn cmd_shard(args: &[String]) -> Result<(), Error> {
     }
     let out = pipeline.to_shard(out_path)?;
     print_file_stats(&out.file_stats, &out.stats);
-    eprintln!(
-        "wrote {out_path}: {} packets, {} sessions (/128), {} sessions (/64)",
-        out.packets, out.sessions128, out.sessions64
-    );
+    eprintln!("wrote {out_path}: {} packets", out.packets);
     Ok(())
 }
 

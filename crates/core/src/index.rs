@@ -20,16 +20,13 @@
 //! lists. Captures are time-sorted by construction, which makes every time
 //! window a `partition_point` slice.
 
-use crate::error::Error;
 use sixscope_analysis::addrtype::classify;
 use sixscope_analysis::classify::{
     addr_selection, profile_scanners, AddrSelection, ScannerProfile,
 };
 use sixscope_analysis::heavy::{heavy_hitters_from_counts, HeavyHitter, HEAVY_HITTER_SHARE};
 use sixscope_sim::{CompiledVisibility, ExperimentResult};
-use sixscope_telescope::{
-    AggLevel, Capture, CapturedPacket, Protocol, ScanSession, SourceKey, TelescopeId,
-};
+use sixscope_telescope::{AggLevel, Capture, Protocol, ScanSession, SourceKey, TelescopeId};
 use sixscope_types::ports::PortLabel;
 use sixscope_types::{
     chunk_ranges, map_indexed, num_threads, InternTable, Ipv6Prefix, PrefixTrie, SimTime,
@@ -243,12 +240,8 @@ pub struct IndexShard {
     /// Shard-local source interning. Arena order is first-encounter; the
     /// merge sorts the union, so final ids still land in ascending key
     /// order exactly as the old `BTreeSet` union assigned them.
-    ///
-    /// (The source sets and the prefix pair are `pub(crate)` for the
-    /// shard-file codec: it stores the prefix pair, which the capture
-    /// cannot reproduce, and checks session sources against the sets.)
-    pub(crate) sources128: InternTable<SourceKey>,
-    pub(crate) sources64: InternTable<SourceKey>,
+    sources128: InternTable<SourceKey>,
+    sources64: InternTable<SourceKey>,
     ts: Vec<SimTime>,
     /// Raw source address per packet (resolved to ids at merge time).
     src: Vec<u128>,
@@ -258,10 +251,10 @@ pub struct IndexShard {
     week: Vec<u32>,
     day: Vec<u32>,
     dst: Vec<u128>,
-    pub(crate) prefix: Vec<u32>,
+    prefix: Vec<u32>,
     /// Shard-local announced-prefix interning in first-encounter order of
     /// the `prefix` column; remapped on absorb.
-    pub(crate) prefix_ids: InternTable<Ipv6Prefix>,
+    prefix_ids: InternTable<Ipv6Prefix>,
 }
 
 impl IndexShard {
@@ -297,24 +290,11 @@ impl IndexShard {
         range: Range<usize>,
         visibility: &CompiledVisibility,
     ) {
-        // Packets are non-decreasing in time (asserted in `push_packets`),
-        // so the epoch lookup rides a monotone cursor instead of a binary
-        // search per packet.
+        // Packets are non-decreasing in time (asserted below), so the
+        // epoch lookup rides a monotone cursor instead of a binary search
+        // per packet.
         let epoch_cursor = std::cell::Cell::new(0);
-        self.push_packets(&capture.packets()[range], |p| {
-            visibility.lpm_cached(p.dst, p.ts, &epoch_cursor)
-        });
-    }
-
-    /// Appends `packets`, taking each one's announced prefix from
-    /// `announced`: the visibility match in process, the stored prefix
-    /// column when a shard file is decoded. The one place every per-packet
-    /// column is derived.
-    pub(crate) fn push_packets(
-        &mut self,
-        packets: &[CapturedPacket],
-        mut announced: impl FnMut(&CapturedPacket) -> Option<Ipv6Prefix>,
-    ) {
+        let packets = &capture.packets()[range];
         self.ts.reserve(packets.len());
         for p in packets {
             assert!(
@@ -340,7 +320,7 @@ impl IndexShard {
             self.week.push(p.ts.week() as u32);
             self.day.push(p.ts.day() as u32);
             self.dst.push(u128::from(p.dst));
-            let prefix = match announced(p) {
+            let prefix = match visibility.lpm_cached(p.dst, p.ts, &epoch_cursor) {
                 Some(pre) => self.prefix_ids.insert(pre).id,
                 None => NO_ID,
             };
@@ -355,41 +335,12 @@ impl IndexShard {
     /// is indistinguishable from one built sequentially.
     ///
     /// # Panics
-    /// Panics when `other` starts before this shard ends (time order) —
-    /// appropriate for the in-process streaming path, where chunk order is
-    /// a pipeline invariant and violating it is a bug. File-loaded shards
-    /// are user input, not invariants: route those through
-    /// [`IndexShard::try_absorb`] instead.
+    /// Panics when `other` starts before this shard ends (time order):
+    /// chunk order is a pipeline invariant, so violating it is a bug.
     pub fn absorb(&mut self, other: IndexShard) {
         if let (Some(&end), Some(&start)) = (self.ts.last(), other.ts.first()) {
             assert!(end <= start, "absorbing an out-of-order index shard");
         }
-        self.merge_unchecked(other);
-    }
-
-    /// Checked form of [`IndexShard::absorb`] for shards loaded from files:
-    /// an out-of-order shard yields [`Error::Analysis`] (CLI exit code 6)
-    /// instead of aborting the process, and `self` is left untouched.
-    pub fn try_absorb(&mut self, other: IndexShard) -> Result<(), Error> {
-        if let (Some(&end), Some(&start)) = (self.ts.last(), other.ts.first()) {
-            if end > start {
-                return Err(Error::Analysis(format!(
-                    "out-of-order index shard: previous shard ends at t={} \
-                     but next starts at t={} — pass shard files in capture \
-                     order",
-                    end.as_secs(),
-                    start.as_secs()
-                )));
-            }
-        }
-        self.merge_unchecked(other);
-        Ok(())
-    }
-
-    /// The shared merge body of [`IndexShard::absorb`] and
-    /// [`IndexShard::try_absorb`]; callers have already established time
-    /// order.
-    fn merge_unchecked(&mut self, other: IndexShard) {
         let remap: Vec<u32> = other
             .prefix_ids
             .keys()
@@ -989,24 +940,6 @@ mod tests {
             s.prefix.push(NO_ID);
         }
         s
-    }
-
-    #[test]
-    fn try_absorb_accepts_in_order_shards() {
-        let mut acc = shard_at(&[0, 10]);
-        acc.try_absorb(shard_at(&[10, 20])).unwrap();
-        acc.try_absorb(shard_at(&[])).unwrap();
-        acc.try_absorb(shard_at(&[20])).unwrap();
-        assert_eq!(acc.len(), 5);
-    }
-
-    #[test]
-    fn try_absorb_rejects_out_of_order_shards_without_mutating() {
-        let mut acc = shard_at(&[0, 10]);
-        let err = acc.try_absorb(shard_at(&[9])).unwrap_err();
-        assert!(matches!(err, Error::Analysis(_)));
-        assert!(err.to_string().contains("out-of-order"));
-        assert_eq!(acc.len(), 2, "failed absorb must leave the shard intact");
     }
 
     #[test]

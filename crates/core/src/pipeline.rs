@@ -1,8 +1,7 @@
 //! The one entry point — a streaming, bounded-memory analysis pipeline.
 //!
-//! [`Pipeline`] subsumes the older `Experiment` (simulated corpus),
-//! `Scenario::run_timed` (raw simulation) and `Ingest` (real pcap) entry
-//! points behind a single builder:
+//! [`Pipeline`] builds one analysis run from a simulated experiment, real
+//! pcap captures or `.sixshard` files:
 //!
 //! ```no_run
 //! use sixscope::{Pipeline, sim::ScenarioConfig};
@@ -29,10 +28,12 @@
 //! Every input — a simulation, pcaps, shard files, and the `serve`
 //! daemon's live tail or replay — takes one path from here to a corpus. A
 //! `Lane` drains its [`Feed`] into a `FeedConsumer`; each telescope ends
-//! as one `Drained` state (a [`TelescopeShard`] plus sessionizer
-//! statistics); and one `gather` folds the states into a base
+//! as one `Drained` state (capture, statistics, sessions, index piece and
+//! sessionizer cost); and one `gather` folds the states into a base
 //! [`ExperimentResult`] and builds the [`Analyzed`] corpus (DESIGN.md §10,
-//! §13, §14).
+//! §13, §14). A shard file holds only a capture, so the shard gather
+//! concatenates each telescope's pieces and drains them through the same
+//! [`SimFeed`] lane a simulated capture takes.
 
 use crate::corpus::{AnalysisTimings, Analyzed};
 use crate::index::{CorpusIndex, IndexShard};
@@ -46,8 +47,8 @@ use sixscope_sim::{
     Visibility,
 };
 use sixscope_telescope::{
-    AggLevel, Capture, Feed, FeedError, IncrementalSessionizer, IngestStats, PcapFeed, SimFeed,
-    SplitSchedule, TelescopeConfig, TelescopeId, SESSION_TIMEOUT,
+    AggLevel, Capture, Feed, FeedError, IncrementalSessionizer, IngestStats, PcapFeed, ScanSession,
+    SimFeed, SplitSchedule, TelescopeConfig, TelescopeId, SESSION_TIMEOUT,
 };
 use sixscope_types::{map_indexed, num_threads, Ipv6Prefix, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -96,10 +97,6 @@ pub struct PipelineOutput {
 pub struct ShardOutput {
     /// Packets retained by the capture filter and written to the shard.
     pub packets: usize,
-    /// Scan sessions at /128 written to the shard.
-    pub sessions128: usize,
-    /// Scan sessions at /64 written to the shard.
-    pub sessions64: usize,
     /// Combined recovery statistics over all input files.
     pub stats: IngestStats,
     /// Per-file recovery statistics, in input order.
@@ -128,10 +125,10 @@ impl Pipeline {
 
     /// Gathers `.sixshard` files (written by [`Pipeline::to_shard`]
     /// workers) into one analyzed corpus. Shards of the same telescope
-    /// must be given in capture order; their id-interned tables are
-    /// remapped and absorbed exactly as the streaming path absorbs
-    /// in-process chunks, so the merged corpus is byte-identical to a
-    /// single-process run over the concatenated packets.
+    /// must be given in capture order; their captures are concatenated
+    /// and sessionized and indexed as one, so the merged corpus is
+    /// byte-identical to a single-process run over the concatenated
+    /// packets.
     pub fn from_shards<I, P>(paths: I) -> Pipeline
     where
         I: IntoIterator<Item = P>,
@@ -220,37 +217,43 @@ impl Pipeline {
                         "merge requires at least one .sixshard file".into(),
                     ));
                 }
-                // Each telescope's shards, in path order, are merged exactly
-                // as the streaming path absorbs in-process chunks.
+                // Pcap shards are written and merged under the empty
+                // visibility, as `drain_pcaps` analyzes pcaps.
                 let ingest_start = Instant::now();
+                let compiled = CompiledVisibility::compile(&Visibility::from_events(&[]));
                 let (groups, file_stats) = read_groups(&paths)?;
                 let states = groups
                     .into_values()
-                    .map(merge_group)
+                    .map(|group| merge_group(group, &settings, &compiled))
                     .collect::<Result<Vec<_>, Error>>()?;
                 Ok(gathered_output(states, file_stats, ingest_start, &settings))
             }
         }
     }
 
-    /// Runs the ingest half of the pipeline only and writes the result as
-    /// one `.sixshard` file — the scatter side of federated sharding. Only
-    /// the pcap source can scatter; simulated and shard sources are
-    /// [`Error::Usage`].
+    /// Reads the pcaps into one time-sorted capture and writes it as one
+    /// `.sixshard` file — the scatter side of federated sharding. The
+    /// gather sessionizes and indexes it. Only the pcap source can
+    /// scatter; simulated and shard sources are [`Error::Usage`].
     pub fn to_shard<P: AsRef<std::path::Path>>(self, out: P) -> Result<ShardOutput, Error> {
-        let settings = self.settings();
         let Source::Pcaps { paths, prefix } = self.source else {
             return Err(Error::Usage(
                 "shard export requires a pcap source (Pipeline::from_pcaps)".into(),
             ));
         };
-        let (state, file_stats) = drain_pcaps(&paths, prefix, &settings)?;
-        let shard = state.shard;
+        let capture = Capture::new(passive_config(prefix));
+        let mut feed = PcapFeed::new(capture, paths, self.chunk_records);
+        while !feed.next_chunk()?.end_of_feed {}
+        let (mut capture, stats, file_stats) = feed.finish();
+        capture.sort_by_time();
+        let shard = TelescopeShard {
+            capture,
+            session_timeout: self.session_timeout,
+            stats,
+        };
         write_shard(out.as_ref(), &shard)?;
         Ok(ShardOutput {
             packets: shard.capture.len(),
-            sessions128: shard.sessions128.len(),
-            sessions64: shard.sessions64.len(),
             stats: shard.stats,
             file_stats,
         })
@@ -269,6 +272,7 @@ impl Pipeline {
 /// [`Pipeline`] and `serve` fill this from their options. The defaults
 /// reproduce the batch behavior (one big chunk, the paper's 1-hour
 /// timeout).
+#[derive(Clone, Copy)]
 pub(crate) struct StreamSettings {
     /// Packets fed per chunk.
     pub chunk_records: usize,
@@ -288,14 +292,22 @@ impl Default for StreamSettings {
     }
 }
 
-/// One telescope's drained state, whatever the input: the shard contents
-/// (capture, statistics, sessions at /128 and /64, index piece) plus the
+/// One telescope's drained state, whatever the input: its capture and
+/// ingest statistics, sessions at /128 and /64, index piece, and the
 /// sessionizers' cost and live-memory high-water mark. Every path hands
 /// these to [`gather`].
 #[derive(Debug)]
 pub(crate) struct Drained {
-    /// What a `.sixshard` file of this telescope would hold.
-    pub shard: TelescopeShard,
+    /// The time-sorted capture the sessions and the index refer to.
+    pub capture: Capture,
+    /// Ingest recovery statistics of the capture's reads.
+    pub stats: IngestStats,
+    /// Scan sessions at /128.
+    pub sessions128: Vec<ScanSession>,
+    /// Scan sessions at /64.
+    pub sessions64: Vec<ScanSession>,
+    /// The capture's columnar index piece.
+    pub index: IndexShard,
     /// Seconds spent pushing packets into the sessionizers.
     pub sessionize: f64,
     /// High-water mark of the open-session tables.
@@ -450,14 +462,11 @@ impl FeedConsumer {
     fn close(self, capture: Capture, stats: IngestStats) -> Drained {
         let peak = self.s128.peak_open().max(self.s64.peak_open());
         Drained {
-            shard: TelescopeShard {
-                capture,
-                session_timeout: self.timeout,
-                stats,
-                sessions128: self.s128.finish(),
-                sessions64: self.s64.finish(),
-                index: self.shard,
-            },
+            capture,
+            stats,
+            sessions128: self.s128.finish(),
+            sessions64: self.s64.finish(),
+            index: self.shard,
             sessionize: self.sessionize,
             peak,
         }
@@ -537,19 +546,14 @@ pub(crate) fn gather(
     let mut shards = BTreeMap::new();
     let mut sessionize = 0.0;
     let mut peak = 0;
-    for Drained {
-        shard,
-        sessionize: secs,
-        peak: p,
-    } in states
-    {
-        let id = shard.capture.config().id;
-        base.captures.insert(id, shard.capture);
-        sessions128.insert(id, shard.sessions128);
-        sessions64.insert(id, shard.sessions64);
-        shards.insert(id, shard.index);
-        sessionize += secs;
-        peak = peak.max(p);
+    for state in states {
+        let id = state.capture.config().id;
+        base.captures.insert(id, state.capture);
+        sessions128.insert(id, state.sessions128);
+        sessions64.insert(id, state.sessions64);
+        shards.insert(id, state.index);
+        sessionize += state.sessionize;
+        peak = peak.max(state.peak);
     }
     for id in TelescopeId::ALL {
         sessions128.entry(id).or_default();
@@ -566,6 +570,18 @@ pub(crate) fn gather(
     Analyzed::assemble(base, sessions128, sessions64, index, timings, peak)
 }
 
+/// Drains an in-memory capture through a [`SimFeed`] lane — the way a
+/// simulated capture and a gathered shard capture reach the consumer.
+pub(crate) fn drain_capture(
+    capture: &Capture,
+    settings: &StreamSettings,
+    compiled: &CompiledVisibility,
+) -> FeedConsumer {
+    let mut lane = Lane::new(SimFeed::new(capture, settings.chunk_records), settings);
+    lane.drain(compiled).expect("sim feeds cannot fail");
+    lane.consumer
+}
+
 /// The simulated path: each capture drains through a [`SimFeed`] lane,
 /// then the four states are gathered back into `result`.
 ///
@@ -579,10 +595,7 @@ pub(crate) fn analyze_result(mut result: ExperimentResult, settings: &StreamSett
     let stream_start = Instant::now();
     let compiled = CompiledVisibility::compile(&result.visibility);
     let consumers = map_indexed(threads, &TelescopeId::ALL, |_, id| {
-        let feed = SimFeed::new(&result.captures[id], settings.chunk_records);
-        let mut lane = Lane::new(feed, settings);
-        lane.drain(&compiled).expect("sim feeds cannot fail");
-        lane.consumer
+        drain_capture(&result.captures[id], settings, &compiled)
     });
     let streaming = stream_start.elapsed().as_secs_f64();
     let states = TelescopeId::ALL
@@ -629,7 +642,7 @@ fn gathered_output(
     let ingest = ingest_start.elapsed().as_secs_f64();
     let mut stats = IngestStats::default();
     for state in &states {
-        stats.absorb(&state.shard.stats);
+        stats.absorb(&state.stats);
     }
     let threads = num_threads(settings.threads);
     PipelineOutput {

@@ -430,7 +430,7 @@ impl Daemon<'_> {
         late_records: u64,
         watermark: SimTime,
     ) -> Result<ServeSummary, Error> {
-        let packets = states.iter().map(|state| state.shard.capture.len()).sum();
+        let packets = states.iter().map(|state| state.capture.len()).sum();
         let latest = self.checkpoint("final", base, states, late_records, watermark)?;
         Ok(ServeSummary {
             snapshots: self.seq,
@@ -454,10 +454,10 @@ impl Daemon<'_> {
         let mut stats = IngestStats::default();
         let (mut packets, mut sessions128, mut sessions64, mut peak) = (0, 0, 0, 0);
         for state in &states {
-            stats.absorb(&state.shard.stats);
-            packets += state.shard.capture.len();
-            sessions128 += state.shard.sessions128.len();
-            sessions64 += state.shard.sessions64.len();
+            stats.absorb(&state.stats);
+            packets += state.capture.len();
+            sessions128 += state.sessions128.len();
+            sessions64 += state.sessions64.len();
             peak = peak.max(state.peak);
         }
         let analyzed = gather(base, states, 0.0, num_threads(self.opts.threads));

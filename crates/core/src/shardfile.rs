@@ -1,48 +1,38 @@
 //! The `.sixshard` wire format — federated scatter/gather for the corpus
 //! (DESIGN.md §13).
 //!
-//! One shard file carries what one worker learned from one telescope's
-//! packets that the capture alone does not determine: the capture itself,
-//! ingest statistics, both session lists and the announced-prefix column
-//! of its [`IndexShard`], so a coordinator can [`merge_experiment`] N
-//! files into the exact corpus a single process would have built. Every
-//! other index column, and both source tables, are pure functions of the
-//! capture: the decoder derives them through the same per-packet push the
-//! in-process path uses, so the file does not store them. The format is
-//! sectioned (magic + version + section table), little-endian throughout,
-//! and canonical: encoding a shard twice yields identical bytes.
+//! One shard file carries one worker's slice of one telescope's capture:
+//! the telescope configuration with the session timeout, the ingest
+//! statistics, and the time-sorted packets. Sessions and every index
+//! column are pure functions of the packets, the timeout and the
+//! visibility, and every merge site holds the visibility, so the file
+//! stores none of them. [`merge_experiment`] and
+//! [`Pipeline::from_shards`](crate::Pipeline::from_shards) concatenate
+//! each telescope's pieces and derive sessions and the index through the
+//! lane an in-process capture drains through, which yields exactly the
+//! corpus a single process builds. The format is sectioned (magic +
+//! version + section table), little-endian throughout, and canonical:
+//! encoding a shard twice yields identical bytes.
 //!
 //! Shard files are **untrusted input**, like pcaps. Every length prefix is
 //! bounds-checked against the bytes actually present before anything is
-//! allocated (mirroring the pcap reader's [`MAX_RECORD_LEN`] discipline).
-//! The derived columns are rebuilt, not re-validated, and the stored
-//! prefix column must equal its rebuild, so a decoded shard upholds the
-//! same invariants as one built in-process — downstream analysis cannot be
-//! driven into a panic by a damaged or hostile file. All violations
-//! surface as [`ShardError`] wrapped in [`Error::Shard`] (CLI exit code 7).
-//!
-//! # Id-remap contract
-//!
-//! The prefix column encodes the writer's visibility longest-prefix match,
-//! which the decoder cannot recompute. It stores ids into the prefix
-//! table, written in first-encounter order: [`IndexShard::try_absorb`]
-//! remaps them on merge, which reproduces the global first-encounter order
-//! only if each shard preserves its local one. The decoder replays the
-//! column through the in-process interning and requires the rebuilt table
-//! and column to equal the stored ones. That enforces the order (ids first
-//! appear ascending and cover the table) and makes the encoding canonical.
+//! allocated (mirroring the pcap reader's [`MAX_RECORD_LEN`] discipline),
+//! and a decoded capture upholds the invariants of one built in process
+//! (time order, capped payloads), so a damaged or hostile file cannot
+//! drive the analysis into a panic. All violations surface as
+//! [`ShardError`] wrapped in [`Error::Shard`] (CLI exit code 7).
 
 use crate::corpus::Analyzed;
 use crate::error::Error;
-use crate::index::{proto_code, IndexShard, NO_ID};
-use crate::pipeline::{gather, Drained, FeedConsumer, StreamSettings};
+use crate::index::proto_code;
+use crate::pipeline::{drain_capture, gather, Drained, StreamSettings};
 use sixscope_packet::MAX_RECORD_LEN;
 use sixscope_sim::{CompiledVisibility, ExperimentResult};
 use sixscope_telescope::{
-    AggLevel, Bytes, Capture, CapturedPacket, IngestStats, Protocol, ScanSession, SessionStitcher,
-    SourceKey, TelescopeConfig, TelescopeId, TelescopeKind,
+    Bytes, Capture, CapturedPacket, IngestStats, Protocol, TelescopeConfig, TelescopeId,
+    TelescopeKind, SESSION_TIMEOUT,
 };
-use sixscope_types::{chunk_ranges, num_threads, InternTable, Ipv6Prefix, SimDuration, SimTime};
+use sixscope_types::{chunk_ranges, num_threads, Ipv6Prefix, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 use std::path::{Path, PathBuf};
@@ -53,17 +43,10 @@ pub const MAGIC: [u8; 8] = *b"SIXSHARD";
 /// Current format version. Decoders reject other versions outright
 /// (DESIGN.md §13 versioning rule: the format is rewritten, never patched
 /// in place — a version bump is a new format).
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Section tags, in the exact order they must appear in the section table.
-const SECTION_TAGS: [(u32, &str); 6] = [
-    (1, "config"),
-    (2, "stats"),
-    (3, "capture"),
-    (4, "prefixes"),
-    (5, "sessions128"),
-    (6, "sessions64"),
-];
+const SECTION_TAGS: [(u32, &str); 3] = [(1, "config"), (2, "stats"), (3, "capture")];
 
 /// Why a `.sixshard` file failed to decode.
 #[derive(Debug)]
@@ -141,17 +124,11 @@ impl std::error::Error for ShardError {}
 pub struct TelescopeShard {
     /// The capture — config, packets in time order, filter counters.
     pub capture: Capture,
-    /// The session timeout the sessions below were built with; every shard
-    /// of a merge must agree.
+    /// The session timeout the gather sessionizes this capture with; every
+    /// shard of a telescope must agree.
     pub session_timeout: SimDuration,
     /// Ingest recovery statistics of the worker's pcap reads.
     pub stats: IngestStats,
-    /// Scan sessions at /128 over this shard's packets (local indices).
-    pub sessions128: Vec<ScanSession>,
-    /// Scan sessions at /64 over this shard's packets (local indices).
-    pub sessions64: Vec<ScanSession>,
-    /// The columnar index piece over this shard's packets.
-    pub index: IndexShard,
 }
 
 // ---------------------------------------------------------------------------
@@ -277,44 +254,12 @@ fn encode_capture(shard: &TelescopeShard) -> Vec<u8> {
     e.buf
 }
 
-/// The prefix table (first-encounter order) followed by the per-packet
-/// prefix-id column.
-fn encode_prefixes(index: &IndexShard) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.u64(index.prefix_ids.len() as u64);
-    for &p in index.prefix_ids.keys() {
-        e.prefix(p);
-    }
-    for &id in &index.prefix {
-        e.u32(id);
-    }
-    e.buf
-}
-
-fn encode_sessions(sessions: &[ScanSession]) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.u64(sessions.len() as u64);
-    for s in sessions {
-        e.prefix(s.source.prefix);
-        e.u64(s.start.as_secs());
-        e.u64(s.end.as_secs());
-        e.u32(s.packet_indices.len() as u32);
-        for &i in &s.packet_indices {
-            e.u32(i);
-        }
-    }
-    e.buf
-}
-
 /// Encodes a shard into the canonical `.sixshard` byte representation.
 pub fn encode_shard(shard: &TelescopeShard) -> Vec<u8> {
     let sections = [
         encode_config(shard),
         encode_stats(shard),
         encode_capture(shard),
-        encode_prefixes(&shard.index),
-        encode_sessions(&shard.sessions128),
-        encode_sessions(&shard.sessions64),
     ];
     let mut out = Enc::default();
     out.bytes(&MAGIC);
@@ -536,7 +481,7 @@ fn decode_stats(buf: &[u8]) -> Result<(IngestStats, CaptureCounters), ShardError
 /// Minimum encoded size of one capture packet (empty payload).
 const MIN_PACKET_LEN: usize = 8 + 16 + 16 + 1 + 1 + 1 + 4;
 
-fn decode_capture(buf: &[u8], id: TelescopeId) -> Result<Vec<CapturedPacket>, ShardError> {
+fn decode_capture(buf: &[u8]) -> Result<Vec<CapturedPacket>, ShardError> {
     let mut c = Cursor::new(buf, "capture");
     let n = c.count(MIN_PACKET_LEN)?;
     let mut packets = Vec::with_capacity(n);
@@ -573,7 +518,6 @@ fn decode_capture(buf: &[u8], id: TelescopeId) -> Result<Vec<CapturedPacket>, Sh
         let payload = Bytes::copy_from_slice(c.take(payload_len as usize)?);
         packets.push(CapturedPacket {
             ts,
-            telescope: id,
             src,
             dst,
             protocol,
@@ -584,147 +528,6 @@ fn decode_capture(buf: &[u8], id: TelescopeId) -> Result<Vec<CapturedPacket>, Sh
     }
     c.done()?;
     Ok(packets)
-}
-
-/// Encoded size of one prefix-table entry (prefix bits + length).
-const PREFIX_ENTRY_LEN: usize = 17;
-
-/// The prefix table and the per-packet prefix-id column, every id
-/// bounds-checked against the table (or [`NO_ID`]).
-fn decode_prefixes(buf: &[u8], packets: usize) -> Result<(Vec<Ipv6Prefix>, Vec<u32>), ShardError> {
-    let mut c = Cursor::new(buf, "prefixes");
-    let n = c.count(PREFIX_ENTRY_LEN)?;
-    let table = (0..n).map(|_| c.prefix()).collect::<Result<Vec<_>, _>>()?;
-    let column: Vec<u32> = c
-        .take(packets * 4)?
-        .chunks_exact(4)
-        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-        .collect();
-    c.done()?;
-    if let Some((i, id)) = column
-        .iter()
-        .enumerate()
-        .find(|&(_, &id)| id != NO_ID && id as usize >= n)
-    {
-        return Err(c.corrupt(format!(
-            "packet {i} references prefix id {id} of a {n}-entry table"
-        )));
-    }
-    Ok((table, column))
-}
-
-/// Minimum encoded size of one session (one packet index).
-const MIN_SESSION_LEN: usize = 17 + 8 + 8 + 4 + 4;
-
-fn decode_sessions(
-    buf: &[u8],
-    section: &'static str,
-    level: AggLevel,
-    id: TelescopeId,
-    packets: &[CapturedPacket],
-    sources: &InternTable<SourceKey>,
-) -> Result<Vec<ScanSession>, ShardError> {
-    let mut c = Cursor::new(buf, section);
-    let n = c.count(MIN_SESSION_LEN)?;
-    let mut sessions: Vec<ScanSession> = Vec::with_capacity(n);
-    for i in 0..n {
-        let prefix = c.prefix()?;
-        if prefix.len() != level.bits() {
-            return Err(c.corrupt(format!(
-                "session {i} source has length /{}, expected /{}",
-                prefix.len(),
-                level.bits()
-            )));
-        }
-        let source = SourceKey { prefix };
-        if sources.get(&source).is_none() {
-            return Err(c.corrupt(format!(
-                "session {i} source {source} does not appear in the capture"
-            )));
-        }
-        let start = SimTime::from_secs(c.u64()?);
-        let end = SimTime::from_secs(c.u64()?);
-        if let Some(prev) = sessions.last() {
-            if start < prev.start {
-                return Err(c.corrupt(format!(
-                    "session {i} starts before its predecessor (sessions must be \
-                     in start order)"
-                )));
-            }
-        }
-        let npkts = c.u32()? as usize;
-        if npkts == 0 {
-            return Err(c.corrupt(format!("session {i} has no packets")));
-        }
-        if npkts > c.remaining() / 4 {
-            return Err(ShardError::Oversized {
-                section,
-                count: npkts as u64,
-                limit: (c.remaining() / 4) as u64,
-            });
-        }
-        let mut packet_indices = Vec::with_capacity(npkts);
-        for _ in 0..npkts {
-            let idx = c.u32()?;
-            if idx as usize >= packets.len() {
-                return Err(c.corrupt(format!(
-                    "session {i} references packet {idx} of a {}-packet capture",
-                    packets.len()
-                )));
-            }
-            if let Some(&prev) = packet_indices.last() {
-                if idx <= prev {
-                    return Err(c.corrupt(format!(
-                        "session {i} packet indices are not strictly increasing"
-                    )));
-                }
-            }
-            packet_indices.push(idx);
-        }
-        if start != packets[packet_indices[0] as usize].ts {
-            return Err(c.corrupt(format!(
-                "session {i} start does not match its first packet's timestamp"
-            )));
-        }
-        if end != packets[*packet_indices.last().expect("npkts >= 1") as usize].ts {
-            return Err(c.corrupt(format!(
-                "session {i} end does not match its last packet's timestamp"
-            )));
-        }
-        sessions.push(ScanSession {
-            source,
-            telescope: id,
-            start,
-            end,
-            packet_indices,
-        });
-    }
-    c.done()?;
-    Ok(sessions)
-}
-
-/// Rebuilds the index shard through [`IndexShard::push_packets`], the
-/// in-process derivation, taking each packet's announced prefix from the
-/// stored column. The stored table and column must equal their rebuild —
-/// which holds exactly when ids first appear in ascending order covering
-/// the table, the first-encounter discipline the merge remap relies on.
-fn rebuild_index(
-    packets: &[CapturedPacket],
-    table: Vec<Ipv6Prefix>,
-    column: Vec<u32>,
-) -> Result<IndexShard, ShardError> {
-    let mut index = IndexShard::new();
-    let mut ids = column.iter();
-    index.push_packets(packets, |_| {
-        ids.next().and_then(|&id| table.get(id as usize).copied())
-    });
-    if index.prefix != column || index.prefix_ids.keys() != table.as_slice() {
-        return Err(ShardError::Corrupt {
-            section: "prefixes",
-            detail: "prefix ids do not first appear in ascending order covering the table".into(),
-        });
-    }
-    Ok(index)
 }
 
 /// Decodes a `.sixshard` byte buffer into a fully validated shard.
@@ -774,33 +577,11 @@ pub fn decode_shard(bytes: &[u8]) -> Result<TelescopeShard, ShardError> {
 
     let (config, session_timeout) = decode_config(bodies[0])?;
     let (stats, counters) = decode_stats(bodies[1])?;
-    let packets = decode_capture(bodies[2], config.id)?;
-    let (table, column) = decode_prefixes(bodies[3], packets.len())?;
-    let index = rebuild_index(&packets, table, column)?;
-    let sessions128 = decode_sessions(
-        bodies[4],
-        "sessions128",
-        AggLevel::Addr128,
-        config.id,
-        &packets,
-        &index.sources128,
-    )?;
-    let sessions64 = decode_sessions(
-        bodies[5],
-        "sessions64",
-        AggLevel::Subnet64,
-        config.id,
-        &packets,
-        &index.sources64,
-    )?;
-    let capture = Capture::restore(config, packets, counters.filtered, counters.malformed);
+    let packets = decode_capture(bodies[2])?;
     Ok(TelescopeShard {
-        capture,
+        capture: Capture::restore(config, packets, counters.filtered, counters.malformed),
         session_timeout,
         stats,
-        sessions128,
-        sessions64,
-        index,
     })
 }
 
@@ -862,14 +643,26 @@ pub(crate) fn read_groups(
 
 /// Merges one telescope's shards, in the order given (which must be
 /// capture order), into its drained state. Configs and session timeouts
-/// must agree across the group; out-of-order shards yield
-/// [`Error::Analysis`].
-pub(crate) fn merge_group(shards: Vec<(String, TelescopeShard)>) -> Result<Drained, Error> {
+/// must agree across the group. The captures are concatenated — a seam
+/// where time runs backwards is an [`Error::Analysis`] naming the file —
+/// and the whole drains through [`drain_capture`] under the group's
+/// timeout and the merge site's visibility, as a single process would
+/// drain it.
+pub(crate) fn merge_group(
+    shards: Vec<(String, TelescopeShard)>,
+    settings: &StreamSettings,
+    compiled: &CompiledVisibility,
+) -> Result<Drained, Error> {
     let first = &shards.first().expect("merge_group requires shards").1;
-    let config = first.capture.config().clone();
     let timeout = first.session_timeout;
-    for (name, shard) in &shards {
-        if *shard.capture.config() != config {
+    // One reservation for the whole group: `Capture::absorb` then never
+    // grows the buffer.
+    let total = shards.iter().map(|(_, shard)| shard.capture.len()).sum();
+    let config = first.capture.config().clone();
+    let mut capture = Capture::restore(config, Vec::with_capacity(total), 0, 0);
+    let mut stats = IngestStats::default();
+    for (name, shard) in shards {
+        if shard.capture.config() != capture.config() {
             return Err(Error::Analysis(format!(
                 "shard {name} was captured under a different telescope \
                  configuration than the group's first shard"
@@ -877,45 +670,33 @@ pub(crate) fn merge_group(shards: Vec<(String, TelescopeShard)>) -> Result<Drain
         }
         if shard.session_timeout != timeout {
             return Err(Error::Analysis(format!(
-                "shard {name} was sessionized with timeout {} but the group \
+                "shard {name} carries session timeout {} but the group \
                  uses {}",
                 shard.session_timeout, timeout
             )));
         }
-    }
-    let mut index = IndexShard::new();
-    let mut stats = IngestStats::default();
-    let mut st128 = SessionStitcher::new(timeout);
-    let mut st64 = SessionStitcher::new(timeout);
-    let mut packets = Vec::new();
-    let mut filtered = 0u64;
-    let mut malformed = 0u64;
-    for (name, shard) in shards {
-        index.try_absorb(shard.index).map_err(|e| match e {
-            Error::Analysis(msg) => Error::Analysis(format!("{msg} (at {name})")),
-            other => other,
-        })?;
-        let piece = shard.capture.len() as u32;
-        st128.absorb(shard.sessions128, piece);
-        st64.absorb(shard.sessions64, piece);
+        let end = capture.packets().last().map(|p| p.ts);
+        let start = shard.capture.packets().first().map(|p| p.ts);
+        if let (Some(end), Some(start)) = (end, start) {
+            if end > start {
+                return Err(Error::Analysis(format!(
+                    "out-of-order shard {name}: the shards before it end at \
+                     t={} but it starts at t={} — pass shard files in capture \
+                     order",
+                    end.as_secs(),
+                    start.as_secs()
+                )));
+            }
+        }
         stats.absorb(&shard.stats);
-        filtered += shard.capture.filtered();
-        malformed += shard.capture.malformed();
-        packets.extend(shard.capture.into_packets());
+        capture.absorb(shard.capture);
     }
-    let shard = TelescopeShard {
-        capture: Capture::restore(config, packets, filtered, malformed),
+    let settings = StreamSettings {
         session_timeout: timeout,
-        stats,
-        sessions128: st128.finish(),
-        sessions64: st64.finish(),
-        index,
+        ..*settings
     };
-    Ok(Drained {
-        shard,
-        sessionize: 0.0,
-        peak: 0,
-    })
+    let consumer = drain_capture(&capture, &settings, compiled);
+    Ok(consumer.finish(capture, stats, compiled))
 }
 
 /// Scatters a finished experiment into `pieces` shard files per telescope
@@ -933,8 +714,6 @@ pub fn write_experiment_shards(
         path: dir.display().to_string(),
         source,
     })?;
-    let compiled = CompiledVisibility::compile(&result.visibility);
-    let settings = StreamSettings::default();
     let mut paths = Vec::new();
     for id in TelescopeId::ALL {
         let capture = &result.captures[&id];
@@ -952,17 +731,20 @@ pub fn write_experiment_shards(
             } else {
                 (0, 0)
             };
-            let piece = Capture::restore(
+            let mut piece = Capture::restore(
                 capture.config().clone(),
                 capture.packets()[range].to_vec(),
                 filtered,
                 malformed,
             );
-            let mut consumer = FeedConsumer::new(0, &settings);
-            consumer.consume(&piece, 0..piece.len(), &compiled);
-            let state = consumer.finish(piece, IngestStats::default(), &compiled);
+            piece.sort_by_time();
+            let shard = TelescopeShard {
+                capture: piece,
+                session_timeout: SESSION_TIMEOUT,
+                stats: IngestStats::default(),
+            };
             let path = dir.join(format!("{id}-{k}.sixshard"));
-            write_shard(&path, &state.shard)?;
+            write_shard(&path, &shard)?;
             paths.push(path);
         }
     }
@@ -980,19 +762,23 @@ pub fn merge_experiment(
     threads: Option<usize>,
 ) -> Result<Analyzed, Error> {
     let (mut groups, _) = read_groups(paths)?;
+    let compiled = CompiledVisibility::compile(&result.visibility);
+    let settings = StreamSettings {
+        threads,
+        ..StreamSettings::default()
+    };
     let mut states = Vec::with_capacity(TelescopeId::ALL.len());
     for id in TelescopeId::ALL {
         let group = groups
             .remove(&id)
             .ok_or_else(|| Error::Analysis(format!("no shard file covers telescope {id}")))?;
-        let state = merge_group(group)?;
-        if *state.shard.capture.config() != *result.captures[&id].config() {
+        if group[0].1.capture.config() != result.captures[&id].config() {
             return Err(Error::Analysis(format!(
                 "telescope {id}'s shards disagree with the experiment's \
                  configuration"
             )));
         }
-        states.push(state);
+        states.push(merge_group(group, &settings, &compiled)?);
     }
     Ok(gather(result, states, 0.0, num_threads(threads)))
 }
@@ -1000,9 +786,10 @@ pub fn merge_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::IndexShard;
     use crate::ingest::passive_config;
     use sixscope_sim::Visibility;
-    use sixscope_telescope::SESSION_TIMEOUT;
+    use sixscope_telescope::{AggLevel, Sessionizer};
 
     fn pkt(
         t: u64,
@@ -1013,7 +800,6 @@ mod tests {
     ) -> CapturedPacket {
         CapturedPacket {
             ts: SimTime::from_secs(t),
-            telescope: TelescopeId::T1,
             src: src.parse().unwrap(),
             dst: dst.parse().unwrap(),
             protocol,
@@ -1023,11 +809,9 @@ mod tests {
         }
     }
 
-    /// Builds a shard from packets exactly as the ingest path does: one
-    /// feed chunk through a [`FeedConsumer`].
+    /// A shard of `packets` with nonzero counters in every statistic.
     fn build(packets: Vec<CapturedPacket>) -> TelescopeShard {
         let capture = Capture::restore(passive_config(Ipv6Prefix::default_route()), packets, 2, 1);
-        let compiled = CompiledVisibility::compile(&Visibility::from_events(&[]));
         let stats = IngestStats {
             records_read: capture.len() as u64 + 3,
             parsed: capture.len() as u64,
@@ -1036,9 +820,11 @@ mod tests {
             truncated_tail: true,
             ..IngestStats::default()
         };
-        let mut consumer = FeedConsumer::new(16, &StreamSettings::default());
-        consumer.consume(&capture, 0..capture.len(), &compiled);
-        consumer.finish(capture, stats, &compiled).shard
+        TelescopeShard {
+            capture,
+            session_timeout: SESSION_TIMEOUT,
+            stats,
+        }
     }
 
     fn sample_packets() -> Vec<CapturedPacket> {
@@ -1054,6 +840,25 @@ mod tests {
             ),
             pkt(5000, "2001:db8::1", "2400:1:2::12", Protocol::Other, None),
         ]
+    }
+
+    fn empty_visibility() -> CompiledVisibility {
+        CompiledVisibility::compile(&Visibility::from_events(&[]))
+    }
+
+    /// Merges `shards`, named `0.sixshard`, `1.sixshard`, … in order, in
+    /// feed chunks of `chunk_records`.
+    fn merge(shards: Vec<TelescopeShard>, chunk_records: usize) -> Result<Drained, Error> {
+        let named = shards
+            .into_iter()
+            .enumerate()
+            .map(|(k, shard)| (format!("{k}.sixshard"), shard))
+            .collect();
+        let settings = StreamSettings {
+            chunk_records,
+            ..StreamSettings::default()
+        };
+        merge_group(named, &settings, &empty_visibility())
     }
 
     /// Byte offset of section `index` (0-based) in an encoded shard.
@@ -1077,11 +882,11 @@ mod tests {
         assert_eq!(decoded.capture.malformed(), 1);
         assert_eq!(decoded.session_timeout, SESSION_TIMEOUT);
         assert_eq!(decoded.stats, shard.stats);
-        assert_eq!(decoded.sessions128, shard.sessions128);
-        assert_eq!(decoded.sessions64, shard.sessions64);
-        // Canonical: re-encoding the decoded shard reproduces the bytes,
-        // which also pins every index column (the encoding is injective).
+        // Canonical: re-encoding the decoded shard reproduces the bytes.
         assert_eq!(encode_shard(&decoded), bytes);
+        // The file holds the three sections and nothing else.
+        assert_eq!(u32::from_le_bytes(bytes[12..16].try_into().unwrap()), 3);
+        assert_eq!(section_offset(&bytes, 3), bytes.len());
     }
 
     #[test]
@@ -1109,44 +914,17 @@ mod tests {
 
     #[test]
     fn version_1_files_are_rejected() {
-        // v1 stored the derived columns and source tables; a version bump
-        // is a new format, so no v1 decoder is kept.
-        let mut bytes = encode_shard(&build(sample_packets()));
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert!(matches!(
-            decode_shard(&bytes),
-            Err(ShardError::UnsupportedVersion(1))
-        ));
-    }
-
-    #[test]
-    fn prefix_column_must_be_canonical_and_in_bounds() {
-        let a: Ipv6Prefix = "2400:1::/32".parse().unwrap();
-        let b: Ipv6Prefix = "2400:1:2::/48".parse().unwrap();
-        let with = |table: [Ipv6Prefix; 2], column: [u32; 4]| {
-            let mut shard = build(sample_packets());
-            shard.index.prefix_ids = InternTable::from_keys(table);
-            shard.index.prefix = column.to_vec();
-            encode_shard(&shard)
-        };
-        let shard = decode_shard(&with([a, b], [0, NO_ID, 1, 0])).unwrap();
-        assert_eq!(shard.index.prefix, [0, NO_ID, 1, 0]);
-        assert_eq!(shard.index.prefix_ids.keys(), [a, b]);
-        let reject = |bytes: Vec<u8>, needle: &str| match decode_shard(&bytes) {
-            Err(ShardError::Corrupt {
-                section: "prefixes",
-                detail,
-            }) => assert!(detail.contains(needle), "{detail}"),
-            other => panic!("expected a corrupt prefixes section, got {other:?}"),
-        };
-        reject(with([a, b], [1, NO_ID, 0, 0]), "first appear");
-        reject(with([a, b], [0, NO_ID, 0, 0]), "first appear");
-        reject(with([a, b], [0, NO_ID, 2, 1]), "prefix id 2 of a 2-entry");
-        // A duplicate table entry: copy entry 0 over entry 1.
-        let mut dup = with([a, b], [0, NO_ID, 1, 0]);
-        let at = section_offset(&dup, 3) + 8;
-        dup.copy_within(at..at + PREFIX_ENTRY_LEN, at + PREFIX_ENTRY_LEN);
-        reject(dup, "first appear");
+        // v1 stored the derived columns and source tables, v2 still the
+        // prefix column and both session lists; a version bump is a new
+        // format, so no decoder for either is kept.
+        for old in [1, 2] {
+            let mut bytes = encode_shard(&build(sample_packets()));
+            bytes[8..12].copy_from_slice(&u32::to_le_bytes(old));
+            assert!(matches!(
+                decode_shard(&bytes),
+                Err(ShardError::UnsupportedVersion(v)) if v == old
+            ));
+        }
     }
 
     #[test]
@@ -1158,14 +936,24 @@ mod tests {
         let off = section_offset(&bytes, 2) + 8 + 8 + 16 + 7;
         bytes[off] ^= 0x5a;
         let decoded = decode_shard(&bytes).unwrap();
-        let changed = decoded.capture.packets();
-        assert_ne!(changed[0].dst, shard.capture.packets()[0].dst);
-        let mut expected = IndexShard::new();
-        let empty = CompiledVisibility::compile(&Visibility::from_events(&[]));
-        expected.push_range(&decoded.capture, 0..changed.len(), &empty);
-        assert_eq!(decoded.index, expected);
-        assert_ne!(decoded.index, shard.index, "the class column follows dst");
+        assert_ne!(
+            decoded.capture.packets()[0].dst,
+            shard.capture.packets()[0].dst
+        );
         assert_eq!(encode_shard(&decoded), bytes);
+        let changed = merge(vec![decoded], usize::MAX).unwrap();
+        let mut expected = IndexShard::new();
+        expected.push_range(
+            &changed.capture,
+            0..changed.capture.len(),
+            &empty_visibility(),
+        );
+        assert_eq!(changed.index, expected);
+        let original = merge(vec![shard], usize::MAX).unwrap();
+        assert_ne!(
+            changed.index, original.index,
+            "the class column follows dst"
+        );
     }
 
     #[test]
@@ -1221,23 +1009,91 @@ mod tests {
     #[test]
     fn merge_group_equals_single_process() {
         let packets = sample_packets();
-        let whole = build(packets.clone());
-        let first = build(packets[..2].to_vec());
-        let second = build(packets[2..].to_vec());
-        let merged = merge_group(vec![
-            ("a.sixshard".into(), first),
-            ("b.sixshard".into(), second),
-        ])
-        .unwrap()
-        .shard;
-        assert_eq!(merged.capture.packets(), whole.capture.packets());
-        assert_eq!(merged.capture.filtered(), 4, "counters are summed");
-        assert_eq!(merged.sessions128, whole.sessions128);
-        assert_eq!(merged.sessions64, whole.sessions64);
-        assert_eq!(
-            merged.index, whole.index,
-            "the merged index must equal the single-process build"
-        );
+        let whole = build(packets.clone()).capture;
+        for chunk_records in [1, usize::MAX] {
+            let merged = merge(
+                vec![
+                    build(packets[..2].to_vec()),
+                    build(Vec::new()),
+                    build(packets[2..].to_vec()),
+                ],
+                chunk_records,
+            )
+            .unwrap();
+            assert_eq!(merged.capture.packets(), whole.packets());
+            assert_eq!(merged.capture.filtered(), 6, "counters are summed");
+            assert_eq!(merged.stats.records_read, packets.len() as u64 + 9);
+            for (level, got) in [
+                (AggLevel::Addr128, &merged.sessions128),
+                (AggLevel::Subnet64, &merged.sessions64),
+            ] {
+                assert_eq!(*got, Sessionizer::paper(level).sessionize(&whole));
+            }
+            let mut index = IndexShard::new();
+            index.push_range(&whole, 0..whole.len(), &empty_visibility());
+            assert_eq!(
+                merged.index, index,
+                "the merged index must equal the single-process build"
+            );
+            assert_eq!(merged.peak, 2, "two sources are open at t=200");
+        }
+    }
+
+    #[test]
+    fn merge_group_matches_continuous_sessionization_at_every_cut() {
+        // Gaps straddling the timeout, interleaved sources, /64 rotation
+        // and two packets at one timestamp (a seam between them is in
+        // order): every two-cut split into three shards must sessionize as
+        // the uncut capture does, at both levels.
+        let icmp = |t, src| pkt(t, src, "2400::1", Protocol::Icmpv6, None);
+        let packets = vec![
+            icmp(0, "2001:db8:f00::1"),
+            icmp(5, "2001:db8:f00::2"),
+            icmp(3598, "2001:db8:f00::1"),
+            icmp(3600, "2001:db8:f00::2"), // exactly one timeout later
+            icmp(7000, "2001:db8:f00::1"),
+            icmp(7000, "2001:db8:f00:1::9"),
+            icmp(20_000, "2001:db8:f00::1"),
+            icmp(20_001, "2001:db8:f00::2"),
+        ];
+        let whole = build(packets.clone()).capture;
+        let n = packets.len();
+        for cut1 in 0..=n {
+            for cut2 in cut1..=n {
+                let pieces = [0..cut1, cut1..cut2, cut2..n]
+                    .map(|range| build(packets[range].to_vec()))
+                    .into();
+                let merged = merge(pieces, usize::MAX).unwrap();
+                for (level, got) in [
+                    (AggLevel::Addr128, &merged.sessions128),
+                    (AggLevel::Subnet64, &merged.sessions64),
+                ] {
+                    let want = Sessionizer::paper(level).sessionize(&whole);
+                    assert_eq!(*got, want, "cuts ({cut1}, {cut2}), level {level}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merge_experiment_requires_every_telescope() {
+        let dir = std::env::temp_dir().join(format!(
+            "sixscope-shardfile-{}-every-telescope",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t1.sixshard");
+        let mut shard = build(sample_packets());
+        let base = crate::pipeline::gathered_result();
+        let t1 = base.captures[&TelescopeId::T1].config().clone();
+        shard.capture = Capture::restore(t1, sample_packets(), 0, 0);
+        write_shard(&path, &shard).unwrap();
+        let Err(err) = merge_experiment(base, std::slice::from_ref(&path), Some(1)) else {
+            panic!("a T1 shard alone cannot cover the experiment");
+        };
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(matches!(err, Error::Analysis(_)));
+        assert!(err.to_string().contains("telescope T2"), "{err}");
     }
 
     #[test]
@@ -1245,23 +1101,30 @@ mod tests {
         let packets = sample_packets();
         let first = build(packets[..2].to_vec());
         let second = build(packets[2..].to_vec());
-        let err = merge_group(vec![
-            ("b.sixshard".into(), second),
-            ("a.sixshard".into(), first),
-        ])
-        .unwrap_err();
+        let err = merge(vec![second, first], usize::MAX).unwrap_err();
         assert!(matches!(err, Error::Analysis(_)));
         let msg = err.to_string();
-        assert!(msg.contains("a.sixshard"), "{msg}");
+        for needle in ["1.sixshard", "t=5000", "t=5 "] {
+            assert!(msg.contains(needle), "{msg}");
+        }
 
         let first = build(packets[..2].to_vec());
         let mut second = build(packets[2..].to_vec());
         second.session_timeout = SimDuration::secs(1);
-        let err = merge_group(vec![
-            ("a.sixshard".into(), first),
-            ("b.sixshard".into(), second),
-        ])
-        .unwrap_err();
+        let err = merge(vec![first, second], usize::MAX).unwrap_err();
         assert!(err.to_string().contains("timeout"), "{err}");
+
+        let first = build(packets[..2].to_vec());
+        let second = TelescopeShard {
+            capture: Capture::restore(
+                passive_config("2400::/16".parse().unwrap()),
+                packets[2..].to_vec(),
+                0,
+                0,
+            ),
+            ..build(Vec::new())
+        };
+        let err = merge(vec![first, second], usize::MAX).unwrap_err();
+        assert!(err.to_string().contains("1.sixshard"), "{err}");
     }
 }

@@ -106,7 +106,6 @@ fn build_result(raws: &[RawPacket]) -> ExperimentResult {
         };
         packets.entry(config.id).or_default().push(CapturedPacket {
             ts: SimTime::from_secs(raw.ts_secs),
-            telescope: config.id,
             src,
             dst: config.prefix.nth_address(raw.dst_bits),
             protocol,

@@ -1,19 +1,15 @@
 //! The per-telescope packet store.
 //!
 //! [`Capture::ingest`] parses raw IPv6 bytes (as received off the simulated
-//! wire or read from a pcap) into compact [`CapturedPacket`] records, with an
-//! optional pcap tee so a capture can be exported for tcpdump/Wireshark.
+//! wire or read from a pcap) into compact [`CapturedPacket`] records.
 //! Analysis works exclusively on these records — the same structures a real
 //! deployment would fill from `tcpdump -y RAW`.
 
-use crate::config::{TelescopeConfig, TelescopeId};
+use crate::config::TelescopeConfig;
 use bytes::Bytes;
-use sixscope_packet::{
-    MalformedRecord, ParsedView, PcapRecord, PcapWriter, Transport, ViewOutcome,
-};
+use sixscope_packet::{MalformedRecord, ParsedView, Transport, ViewOutcome};
 use sixscope_types::SimTime;
 use std::fmt;
-use std::io::Write;
 use std::net::Ipv6Addr;
 
 /// Statistics of one recoverable pcap ingest run
@@ -123,8 +119,6 @@ impl Protocol {
 pub struct CapturedPacket {
     /// Arrival time.
     pub ts: SimTime,
-    /// Receiving telescope.
-    pub telescope: TelescopeId,
     /// Source address.
     pub src: Ipv6Addr,
     /// Destination (target) address.
@@ -143,7 +137,6 @@ pub struct CapturedPacket {
 pub struct Capture {
     config: TelescopeConfig,
     packets: Vec<CapturedPacket>,
-    pcap: Option<PcapWriter<Box<dyn Write + Send + Sync>>>,
     /// Count of packets rejected by the capture filter.
     filtered: u64,
     /// Count of packets that failed to parse.
@@ -167,21 +160,9 @@ impl Capture {
         Capture {
             config,
             packets: Vec::new(),
-            pcap: None,
             filtered: 0,
             malformed: 0,
         }
-    }
-
-    /// Attaches a pcap tee; every ingested packet is also written there.
-    pub fn attach_pcap<W: Write + Send + Sync + 'static>(
-        &mut self,
-        writer: W,
-    ) -> Result<(), sixscope_packet::PacketError> {
-        self.pcap = Some(PcapWriter::new(
-            Box::new(writer) as Box<dyn Write + Send + Sync>
-        )?);
-        Ok(())
     }
 
     /// The telescope configuration.
@@ -195,7 +176,7 @@ impl Capture {
     /// values. Applies the same capture filter and counters as
     /// [`Capture::ingest`]; the caller guarantees the fields describe a
     /// well-formed packet (the fused-vs-reference equivalence tests pin
-    /// this). Requires no pcap tee, which needs raw bytes.
+    /// this).
     #[allow(clippy::too_many_arguments)]
     pub fn ingest_fields(
         &mut self,
@@ -207,17 +188,12 @@ impl Capture {
         dst_port: Option<u16>,
         payload: &[u8],
     ) -> bool {
-        debug_assert!(
-            self.pcap.is_none(),
-            "pcap tee requires raw bytes — use ingest"
-        );
         if !self.config.captures(dst) {
             self.filtered += 1;
             return false;
         }
         self.packets.push(CapturedPacket {
             ts,
-            telescope: self.config.id,
             src,
             dst,
             protocol,
@@ -247,13 +223,6 @@ impl Capture {
             self.filtered += 1;
             return false;
         }
-        if let Some(pcap) = &mut self.pcap {
-            let _ = pcap.write_record(&PcapRecord {
-                ts,
-                ts_micros: 0,
-                data: raw.to_vec(),
-            });
-        }
         let protocol = match &parsed.transport {
             Transport::Icmpv6(_) => Protocol::Icmpv6,
             Transport::Tcp(_) => Protocol::Tcp,
@@ -262,7 +231,6 @@ impl Capture {
         };
         self.packets.push(CapturedPacket {
             ts,
-            telescope: self.config.id,
             src: parsed.header.src,
             dst: parsed.header.dst,
             protocol,
@@ -283,8 +251,7 @@ impl Capture {
     /// in order, filter/malformed counters add up. The parallel delivery
     /// engine merges per-shard captures with this; the caller is
     /// responsible for shard order (contiguous time-sorted shards keep the
-    /// merged capture time-sorted). `other`'s pcap tee, if any, is dropped
-    /// — shard-local captures never attach one.
+    /// merged capture time-sorted).
     pub fn absorb(&mut self, other: Capture) {
         debug_assert_eq!(
             self.config.id, other.config.id,
@@ -306,9 +273,7 @@ impl Capture {
 
     /// Reconstructs a capture from decoded shard-file parts. Packets must
     /// already be in stored (time-sorted) order; the counters restore the
-    /// filter/malformed tallies the original ingest recorded. No pcap tee
-    /// is attached — a restored capture is an analysis input, not a live
-    /// ingest target.
+    /// filter/malformed tallies the original ingest recorded.
     pub fn restore(
         config: TelescopeConfig,
         packets: Vec<CapturedPacket>,
@@ -318,7 +283,6 @@ impl Capture {
         Capture {
             config,
             packets,
-            pcap: None,
             filtered,
             malformed,
         }
@@ -421,11 +385,6 @@ impl Capture {
         &self.packets
     }
 
-    /// Consumes the capture into its packet vector (shard gather path).
-    pub fn into_packets(self) -> Vec<CapturedPacket> {
-        self.packets
-    }
-
     /// Number of captured packets.
     pub fn len(&self) -> usize {
         self.packets.len()
@@ -492,7 +451,7 @@ impl Capture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sixscope_packet::{PacketBuilder, SliceReader};
+    use sixscope_packet::{PacketBuilder, PcapRecord, PcapWriter, SliceReader};
 
     fn t3_capture() -> Capture {
         Capture::new(TelescopeConfig::t3("2001:db8:3::/48".parse().unwrap()))
@@ -520,7 +479,6 @@ mod tests {
         assert_eq!(p.protocol, Protocol::Icmpv6);
         assert_eq!(p.dst, "2001:db8:3::1".parse::<Ipv6Addr>().unwrap());
         assert_eq!(&p.payload[..], b"yarrp");
-        assert_eq!(p.telescope, TelescopeId::T3);
     }
 
     #[test]
@@ -633,39 +591,6 @@ mod tests {
         let inside = format!("{}", productive.low_byte_address());
         assert!(!cap.ingest(SimTime::EPOCH, &probe(&inside)));
         assert!(cap.ingest(SimTime::EPOCH, &probe("2001:db8:2:200::1")));
-    }
-
-    #[test]
-    fn pcap_tee_round_trips() {
-        use std::sync::{Arc, Mutex};
-
-        /// Shared Vec so we can read what the tee wrote.
-        #[derive(Clone)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
-        let mut cap = t3_capture();
-        cap.attach_pcap(buf.clone()).unwrap();
-        let raw = probe("2001:db8:3::42");
-        cap.ingest(SimTime::from_secs(77), &raw);
-        let bytes = buf.0.lock().unwrap().clone();
-        let mut reader = SliceReader::new(&bytes).unwrap();
-        match reader.next() {
-            Some(ViewOutcome::Record(rec)) => {
-                assert_eq!(rec.ts.as_secs(), 77);
-                assert_eq!(rec.data, &raw[..]);
-            }
-            other => panic!("expected the teed record, got {other:?}"),
-        }
     }
 
     #[test]

@@ -651,7 +651,7 @@ impl Feed for SimFeed<'_> {
 mod tests {
     use super::*;
     use crate::capture::{CapturedPacket, Protocol};
-    use crate::config::{TelescopeConfig, TelescopeId};
+    use crate::config::TelescopeConfig;
     use bytes::Bytes;
     use sixscope_packet::{PacketBuilder, PcapRecord, PcapWriter};
 
@@ -820,7 +820,6 @@ mod tests {
         for ts in [5u64, 10, 15, 20, 25] {
             capture.push(CapturedPacket {
                 ts: SimTime::from_secs(ts),
-                telescope: TelescopeId::T3,
                 src: "2001:db8:f00::1".parse().unwrap(),
                 dst: "2001:db8:3::1".parse().unwrap(),
                 protocol: Protocol::Icmpv6,

@@ -7,7 +7,6 @@
 //! unrelated campaigns — and deliberately applies no minimum packet count.
 
 use crate::capture::{Capture, CapturedPacket, Protocol};
-use crate::config::TelescopeId;
 use crate::source::{AggLevel, SourceKey};
 use sixscope_types::{FxBuildHasher, SimDuration, SimTime};
 use std::collections::HashMap;
@@ -20,8 +19,6 @@ pub const SESSION_TIMEOUT: SimDuration = SimDuration(3600);
 pub struct ScanSession {
     /// The source (at the sessionizer's aggregation level).
     pub source: SourceKey,
-    /// The telescope observing it.
-    pub telescope: TelescopeId,
     /// First packet time.
     pub start: SimTime,
     /// Last packet time.
@@ -208,7 +205,6 @@ impl IncrementalSessionizer {
                 let sid = self.sessions.len();
                 self.sessions.push(ScanSession {
                     source: key,
-                    telescope: pkt.telescope,
                     start: pkt.ts,
                     end: pkt.ts,
                     packet_indices: vec![idx],
@@ -267,77 +263,6 @@ impl IncrementalSessionizer {
     }
 }
 
-/// Rejoins independently sessionized, time-contiguous capture pieces into
-/// the session list a single sessionizer over the whole capture would have
-/// produced — the merge half of federated sharding.
-///
-/// Each piece's sessions reference piece-local packet indices; `absorb`
-/// offsets them by the running packet count and then either extends the
-/// source's latest accumulated session (when the gap between the pieces
-/// stays below the timeout — exactly the [`IncrementalSessionizer::push`]
-/// gap check, applied at the seam) or appends a new session. Because every
-/// packet of piece *k* precedes every packet of piece *k+1*, a session can
-/// only ever join with the latest session of its source, and creation
-/// (first-packet) order is preserved — so the stitched output is
-/// *identical* to continuous sessionization, for any cut points.
-#[derive(Debug, Clone)]
-pub struct SessionStitcher {
-    timeout: SimDuration,
-    /// Latest accumulated session per source — the only one a later
-    /// piece's session can still extend.
-    latest: HashMap<SourceKey, usize, FxBuildHasher>,
-    sessions: Vec<ScanSession>,
-    /// Packets absorbed so far: the index offset of the next piece.
-    offset: u32,
-}
-
-impl SessionStitcher {
-    /// An empty stitcher with the gap timeout the pieces were sessionized
-    /// under (the seam check must use the same horizon).
-    pub fn new(timeout: SimDuration) -> Self {
-        SessionStitcher {
-            timeout,
-            latest: HashMap::default(),
-            sessions: Vec::new(),
-            offset: 0,
-        }
-    }
-
-    /// Folds in the next piece: `sessions` are the piece's sessions in
-    /// creation order with piece-local packet indices, `piece_packets` is
-    /// the piece's packet count. Pieces must be absorbed in capture order.
-    pub fn absorb(&mut self, sessions: Vec<ScanSession>, piece_packets: u32) {
-        for mut s in sessions {
-            for i in &mut s.packet_indices {
-                *i += self.offset;
-            }
-            match self.latest.get(&s.source) {
-                Some(&sid) if s.start.since(self.sessions[sid].end) < self.timeout => {
-                    let joined = &mut self.sessions[sid];
-                    joined.end = s.end;
-                    joined.packet_indices.extend(s.packet_indices);
-                }
-                _ => {
-                    let sid = self.sessions.len();
-                    self.latest.insert(s.source, sid);
-                    self.sessions.push(s);
-                }
-            }
-        }
-        self.offset += piece_packets;
-    }
-
-    /// Packets absorbed so far.
-    pub fn packets(&self) -> u32 {
-        self.offset
-    }
-
-    /// The stitched sessions in creation (first-packet) order.
-    pub fn finish(self) -> Vec<ScanSession> {
-        self.sessions
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,7 +275,6 @@ mod tests {
         for (ts, src, dst) in packets {
             cap.push(CapturedPacket {
                 ts: SimTime::from_secs(ts),
-                telescope: TelescopeId::T3,
                 src: src.parse().unwrap(),
                 dst: dst.parse().unwrap(),
                 protocol: Protocol::Icmpv6,
@@ -535,7 +459,6 @@ mod tests {
         for i in 0u64..100 {
             let pkt = CapturedPacket {
                 ts: SimTime::from_secs(i * 30),
-                telescope: TelescopeId::T3,
                 src: format!("2001:db8:f00::{:x}", i + 1).parse().unwrap(),
                 dst: "2001:db8:3::1".parse().unwrap(),
                 protocol: Protocol::Icmpv6,
@@ -571,90 +494,11 @@ mod tests {
         assert_eq!(inc.open_sessions(), 1);
     }
 
-    /// Stitching piece-wise sessionization back together must equal one
-    /// continuous sessionizer, for every cut point of the capture.
-    fn assert_stitch_matches(cap: &Capture, level: AggLevel) {
-        let packets = cap.packets();
-        let whole = Sessionizer::paper(level).sessionize(cap);
-        for cut1 in 0..=packets.len() {
-            for cut2 in cut1..=packets.len() {
-                let mut st = SessionStitcher::new(SESSION_TIMEOUT);
-                for range in [0..cut1, cut1..cut2, cut2..packets.len()] {
-                    let mut inc = IncrementalSessionizer::paper(level);
-                    for (i, p) in packets[range.clone()].iter().enumerate() {
-                        inc.push(i as u32, p);
-                    }
-                    st.absorb(inc.finish(), range.len() as u32);
-                }
-                assert_eq!(st.packets(), packets.len() as u32);
-                assert_eq!(
-                    st.finish(),
-                    whole,
-                    "stitch diverged at cuts ({cut1}, {cut2}), level {level}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn stitcher_matches_continuous_sessionization_at_every_cut() {
-        // Gaps straddling the timeout, interleaved sources, /64 rotation —
-        // every two-cut split must reproduce the continuous result.
-        let cap = capture_with(vec![
-            (0, "2001:db8:f00::1", "2001:db8:3::1"),
-            (5, "2001:db8:f00::2", "2001:db8:3::1"),
-            (3598, "2001:db8:f00::1", "2001:db8:3::2"),
-            (3600, "2001:db8:f00::2", "2001:db8:3::2"), // exact-timeout split
-            (7000, "2001:db8:f00::1", "2001:db8:3::3"),
-            (7000, "2001:db8:f00:1::9", "2001:db8:3::4"), // same /64 as ::1? no — f00:1
-            (20_000, "2001:db8:f00::1", "2001:db8:3::5"),
-            (20_001, "2001:db8:f00::2", "2001:db8:3::6"),
-        ]);
-        for level in [AggLevel::Addr128, AggLevel::Subnet64] {
-            assert_stitch_matches(&cap, level);
-        }
-    }
-
-    #[test]
-    fn stitcher_joins_across_the_seam_below_timeout() {
-        let cap = capture_with(vec![
-            (0, "2001:db8:f00::1", "2001:db8:3::1"),
-            (100, "2001:db8:f00::1", "2001:db8:3::2"),
-        ]);
-        let packets = cap.packets();
-        let mut st = SessionStitcher::new(SESSION_TIMEOUT);
-        for range in [0..1, 1..2] {
-            let mut inc = IncrementalSessionizer::paper(AggLevel::Addr128);
-            for (i, p) in packets[range.clone()].iter().enumerate() {
-                inc.push(i as u32, p);
-            }
-            st.absorb(inc.finish(), 1);
-        }
-        let joined = st.finish();
-        assert_eq!(joined.len(), 1);
-        assert_eq!(joined[0].packet_indices, vec![0, 1]);
-        assert_eq!(joined[0].end, SimTime::from_secs(100));
-    }
-
-    #[test]
-    fn stitcher_handles_empty_pieces() {
-        let cap = capture_with(vec![(0, "2001:db8:f00::1", "2001:db8:3::1")]);
-        let whole = Sessionizer::paper(AggLevel::Addr128).sessionize(&cap);
-        let mut st = SessionStitcher::new(SESSION_TIMEOUT);
-        st.absorb(Vec::new(), 0);
-        let mut inc = IncrementalSessionizer::paper(AggLevel::Addr128);
-        inc.push(0, &cap.packets()[0]);
-        st.absorb(inc.finish(), 1);
-        st.absorb(Vec::new(), 0);
-        assert_eq!(st.finish(), whole);
-    }
-
     #[test]
     fn protocol_set_is_deduplicated() {
         let mut cap = capture_with(vec![(0, "2001:db8:f00::1", "2001:db8:3::1")]);
         cap.push(CapturedPacket {
             ts: SimTime::from_secs(1),
-            telescope: TelescopeId::T3,
             src: "2001:db8:f00::1".parse().unwrap(),
             dst: "2001:db8:3::1".parse().unwrap(),
             protocol: Protocol::Tcp,

@@ -4,7 +4,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use sixscope_telescope::{
     AggLevel, Capture, CapturedPacket, IncrementalSessionizer, Protocol, Sessionizer, SourceKey,
-    SplitSchedule, TelescopeConfig, TelescopeId,
+    SplitSchedule, TelescopeConfig,
 };
 use sixscope_types::{Ipv6Prefix, SimDuration, SimTime};
 use std::net::Ipv6Addr;
@@ -16,7 +16,6 @@ fn capture_from(packets: Vec<(u64, u64)>) -> Capture {
         let src = Ipv6Addr::from((0x2a0a_u128 << 112) | ((src_idx % 5) as u128) << 64 | 1);
         cap.push(CapturedPacket {
             ts: SimTime::from_secs(ts),
-            telescope: TelescopeId::T3,
             src,
             dst: "2001:db8:3::1".parse().unwrap(),
             protocol: Protocol::Icmpv6,

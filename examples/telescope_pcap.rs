@@ -4,8 +4,8 @@
 //!
 //! 1. scan traffic arrives as raw IPv6 packets (here: synthesized by a few
 //!    scanner models, exactly the bytes a NIC would deliver),
-//! 2. the capture is teed to a classic pcap file (`telescope.pcap`,
-//!    LINKTYPE_RAW — opens in Wireshark),
+//! 2. every packet the capture keeps is written to a classic pcap file
+//!    (`telescope.pcap`, LINKTYPE_RAW — opens in Wireshark),
 //! 3. the pcap is read back into a fresh capture, sessionized with the
 //!    paper's 1-hour timeout, and every session is classified.
 //!
@@ -15,7 +15,7 @@
 
 use sixscope_analysis::classify::{addr_selection, profile_scanners};
 use sixscope_analysis::fingerprint::identify;
-use sixscope_packet::MappedPcap;
+use sixscope_packet::{MappedPcap, PcapRecord, PcapWriter};
 use sixscope_scanners::scanner::StaticContext;
 use sixscope_scanners::{
     AddressStrategy, NetworkStrategy, ScannerSpec, SourceModel, TemporalModel, ToolProfile,
@@ -87,11 +87,11 @@ fn main() {
         },
     ];
 
-    // --- 2. capture with a pcap tee ---
+    // --- 2. capture, writing every kept packet to a pcap ---
     let pcap_path = std::env::temp_dir().join("sixscope-telescope.pcap");
     let file = std::fs::File::create(&pcap_path).expect("create pcap");
+    let mut pcap = PcapWriter::new(std::io::BufWriter::new(file)).expect("pcap header");
     let mut live = Capture::new(config.clone());
-    live.attach_pcap(file).expect("attach pcap tee");
     let mut wire: Vec<(SimTime, Vec<u8>)> = Vec::new();
     let mut buf = Vec::new();
     for spec in &scanners {
@@ -103,9 +103,16 @@ fn main() {
     }
     wire.sort_by_key(|(ts, _)| *ts);
     for (ts, bytes) in &wire {
-        live.ingest(*ts, bytes);
+        if live.ingest(*ts, bytes) {
+            let record = PcapRecord {
+                ts: *ts,
+                ts_micros: 0,
+                data: bytes.clone(),
+            };
+            pcap.write_record(&record).expect("write pcap record");
+        }
     }
-    drop(live); // flush the tee
+    pcap.into_inner().expect("flush pcap");
     println!(
         "wrote {} packets to {} (classic pcap, LINKTYPE_RAW — try `tcpdump -r`)",
         wire.len(),

@@ -3,9 +3,10 @@
 //! single-process run (DESIGN.md §13).
 //!
 //! Unlike the shard-file unit tests and the core property tests, which use
-//! an empty visibility, the simulated corpus carries announced prefixes,
-//! so this pins the per-packet prefix-id column and its first-encounter
-//! remap across piece boundaries.
+//! an empty visibility, the simulated corpus carries announced prefixes.
+//! Shard files store no prefix column, so this pins the one the gather
+//! derives from the experiment's visibility against the single-process
+//! one.
 
 use sixscope::index::NO_ID;
 use sixscope::serve::tables_report;

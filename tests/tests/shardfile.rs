@@ -3,10 +3,14 @@
 //! A shard file produced by the real scatter path (`Pipeline::to_shard`
 //! over a generated pcap) is mutated ≥10k times with seeded byte flips,
 //! field splices, truncations and version bumps, and every mutant is
-//! pushed through [`decode_shard`]. The contract under test
-//! (DESIGN.md §13):
+//! pushed through [`decode_shard`]. Every mutant that decodes is also
+//! written back to disk, gathered with `Pipeline::from_shards` and
+//! rendered with `analysis_report`: the gather derives sessions and the
+//! index from the decoded capture, so the analysis of a decoded capture is
+//! the whole trust boundary. The contract under test (DESIGN.md §13):
 //!
 //! * every input returns `Ok` or a typed `ShardError` — never a panic,
+//!   and no decodable mutant panics the gather or the report,
 //! * no count field drives an allocation past the bytes actually present
 //!   (the test completing in bounded memory is the proof),
 //! * the outcome is a pure function of the bytes: the same seed produces
@@ -14,6 +18,7 @@
 //! * the untouched file round-trips canonically: decode → encode
 //!   reproduces the input bytes.
 
+use sixscope::serve::analysis_report;
 use sixscope::shardfile::{decode_shard, encode_shard, ShardError};
 use sixscope::Pipeline;
 use sixscope_integration::TempDir;
@@ -66,6 +71,15 @@ fn base_shard_bytes() -> Vec<u8> {
         .to_shard(&out)
         .expect("sharding a clean pcap cannot fail");
     std::fs::read(&out).unwrap()
+}
+
+/// Gathers one shard file and renders its analysis report; a gather
+/// error is rendered as its message.
+fn gather_report(path: &std::path::Path) -> String {
+    match Pipeline::from_shards([path]).threads(1).run_detailed() {
+        Ok(out) => analysis_report(&out.analyzed, &out.stats, false),
+        Err(e) => e.to_string(),
+    }
 }
 
 /// Applies one seeded mutation to `buf`.
@@ -127,6 +141,8 @@ struct RunSummary {
 
 fn run(seed: u64, mutations: usize) -> RunSummary {
     let base = base_shard_bytes();
+    let dir = TempDir::new(&format!("shard-mutants-{seed:x}"));
+    let mutant = dir.join("mutant.sixshard");
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let mut s = RunSummary {
         decoded: 0,
@@ -160,6 +176,8 @@ fn run(seed: u64, mutations: usize) -> RunSummary {
                 );
                 s.decoded += 1;
                 mix(&mut s, shard.capture.len() as u64);
+                std::fs::write(&mutant, &buf).unwrap();
+                mix(&mut s, hash(&gather_report(&mutant)));
             }
             Err(e) => {
                 match &e {
@@ -171,16 +189,19 @@ fn run(seed: u64, mutations: usize) -> RunSummary {
                 }
                 // The rendered message is part of the deterministic
                 // outcome (it names the section and the violation).
-                let text = e.to_string();
-                let mut h = 0u64;
-                for b in text.bytes() {
-                    h = h.rotate_left(5) ^ u64::from(b);
-                }
-                mix(&mut s, h);
+                mix(&mut s, hash(&e.to_string()));
             }
         }
     }
     s
+}
+
+fn hash(text: &str) -> u64 {
+    let mut h = 0u64;
+    for b in text.bytes() {
+        h = h.rotate_left(5) ^ u64::from(b);
+    }
+    h
 }
 
 #[test]
@@ -216,5 +237,41 @@ fn mutation_outcome_is_deterministic_per_seed() {
     assert_ne!(
         a.fingerprint, c.fingerprint,
         "different seeds should explore different mutants"
+    );
+}
+
+#[test]
+fn merged_shards_report_the_pcap_runs_peak_open_sessions() {
+    // Cut the base pcap into two pieces at the timeout-straddling gap, so
+    // the merge concatenates two files.
+    let dir = TempDir::new("shard-peak");
+    let whole = base_pcap();
+    // A 24-byte global header, then records of a 16-byte header (incl_len
+    // at offset 8) and their bytes: the fifth record (t=8000) starts where
+    // the first four end.
+    let mut cut = 24;
+    for _ in 0..4 {
+        let len = u32::from_le_bytes(whole[cut + 8..cut + 12].try_into().unwrap());
+        cut += 16 + len as usize;
+    }
+    let pcaps = [dir.join("a.pcap"), dir.join("b.pcap")];
+    std::fs::write(&pcaps[0], &whole[..cut]).unwrap();
+    let mut tail = whole[..24].to_vec();
+    tail.extend_from_slice(&whole[cut..]);
+    std::fs::write(&pcaps[1], tail).unwrap();
+    let shards = [dir.join("a.sixshard"), dir.join("b.sixshard")];
+    for (pcap, shard) in pcaps.iter().zip(&shards) {
+        Pipeline::from_pcaps([pcap]).to_shard(shard).unwrap();
+    }
+    let direct = Pipeline::from_pcaps(&pcaps).run_detailed().unwrap();
+    let merged = Pipeline::from_shards(&shards).run_detailed().unwrap();
+    assert!(direct.analyzed.peak_open_sessions > 0);
+    assert_eq!(
+        merged.analyzed.peak_open_sessions,
+        direct.analyzed.peak_open_sessions
+    );
+    assert_eq!(
+        analysis_report(&merged.analyzed, &merged.stats, false),
+        analysis_report(&direct.analyzed, &direct.stats, false)
     );
 }
