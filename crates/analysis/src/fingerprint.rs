@@ -122,17 +122,41 @@ impl fmt::Display for ToolMatch {
     }
 }
 
-/// Identifies a payload (and optional rDNS name) against the tool database.
+/// The first tool in [`KnownTool::ALL`] whose payload signature `payload`
+/// starts with, if any.
+pub fn signature_tool(payload: &[u8]) -> Option<KnownTool> {
+    KnownTool::ALL
+        .into_iter()
+        .find(|tool| payload.starts_with(tool.signature()))
+}
+
+/// The first tool in [`KnownTool::ALL`] whose operator's rDNS suffix `name`
+/// ends with, if any.
+pub fn rdns_tool(name: &str) -> Option<KnownTool> {
+    KnownTool::ALL.into_iter().find(|tool| {
+        tool.rdns_suffix()
+            .is_some_and(|suffix| name.ends_with(suffix))
+    })
+}
+
+/// The tool a payload match and an rDNS match identify together: whichever
+/// comes first in [`KnownTool::ALL`]. This is the one precedence rule; both
+/// [`identify`] and Table 7's per-scanner resolution go through it.
+pub fn first_tool(signature: Option<KnownTool>, rdns: Option<KnownTool>) -> Option<KnownTool> {
+    match (signature, rdns) {
+        // `KnownTool`'s declaration order is `ALL`'s order.
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+/// Identifies a payload (and optional rDNS name) against the tool database:
+/// the [`first_tool`] of [`signature_tool`] and [`rdns_tool`], else
+/// [`ToolMatch::RandomBytes`] for a high-entropy payload of at least 8 bytes,
+/// else [`ToolMatch::Unidentified`].
 pub fn identify(payload: &[u8], rdns: Option<&str>) -> ToolMatch {
-    for tool in KnownTool::ALL {
-        if !payload.is_empty() && payload.starts_with(tool.signature()) {
-            return ToolMatch::Tool(tool);
-        }
-        if let (Some(name), Some(suffix)) = (rdns, tool.rdns_suffix()) {
-            if name.ends_with(suffix) {
-                return ToolMatch::Tool(tool);
-            }
-        }
+    if let Some(tool) = first_tool(signature_tool(payload), rdns.and_then(rdns_tool)) {
+        return ToolMatch::Tool(tool);
     }
     // Entropy is compared against the maximum achievable for the payload's
     // length (a 32-byte payload can reach at most log2(32)/8 normalized
@@ -273,6 +297,68 @@ mod tests {
         assert_eq!(KnownTool::RipeAtlasProbe.to_string(), "RIPEAtlasProbe");
         assert_eq!(KnownTool::SixScan.to_string(), "6Scan");
         assert_eq!(ToolMatch::RandomBytes.to_string(), "random-bytes");
+    }
+
+    #[test]
+    fn all_is_in_declaration_order() {
+        // `first_tool` takes the minimum, so `Ord` must follow `ALL`.
+        assert!(KnownTool::ALL.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// Every tool's signature × rDNS {none, Atlas, Ark, unrelated} ×
+    /// payload {empty, signature, signature not at the start, random, short}:
+    /// `identify` picks whichever of the two matches comes first in `ALL`,
+    /// else falls back on the payload's entropy.
+    #[test]
+    fn identify_precedence_pin() {
+        let mut rng = sixscope_types::Xoshiro256pp::seed_from_u64(17);
+        let random: Vec<u8> = (0..32).map(|_| rng.next_u64() as u8).collect();
+        let rdns_cases = [
+            (None, None),
+            (
+                Some("p1234.probes.atlas.ripe.net"),
+                Some(KnownTool::RipeAtlasProbe),
+            ),
+            (Some("vantage-7.ark.caida.org"), Some(KnownTool::CaidaArk)),
+            (Some("host.example.org"), None),
+        ];
+        let position = |t: KnownTool| KnownTool::ALL.iter().position(|&x| x == t);
+        for tool in KnownTool::ALL {
+            let sig = tool.signature();
+            let mut tail = sig.to_vec();
+            tail.extend_from_slice(b"-state-0042");
+            let mut indented = vec![0u8; 64];
+            indented.extend_from_slice(sig);
+            // (payload, tool its signature names, fallback without a tool)
+            let payloads: [(&[u8], Option<KnownTool>, ToolMatch); 5] = [
+                (&[], None, ToolMatch::Unidentified),
+                (&tail, Some(tool), ToolMatch::Unidentified),
+                (&indented, None, ToolMatch::Unidentified),
+                (&random, None, ToolMatch::RandomBytes),
+                (&sig[..3], None, ToolMatch::Unidentified),
+            ];
+            for &(payload, by_payload, fallback) in &payloads {
+                assert_eq!(signature_tool(payload), by_payload, "{payload:?}");
+                for &(name, by_rdns) in &rdns_cases {
+                    assert_eq!(name.and_then(rdns_tool), by_rdns, "{name:?}");
+                    let want = match [by_payload, by_rdns]
+                        .into_iter()
+                        .flatten()
+                        .min_by_key(|&t| position(t))
+                    {
+                        Some(t) => ToolMatch::Tool(t),
+                        None => fallback,
+                    };
+                    assert_eq!(identify(payload, name), want, "{payload:?} with {name:?}");
+                    assert_eq!(
+                        first_tool(by_payload, by_rdns)
+                            .map(ToolMatch::Tool)
+                            .unwrap_or(fallback),
+                        want
+                    );
+                }
+            }
+        }
     }
 
     #[test]

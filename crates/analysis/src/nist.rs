@@ -14,8 +14,13 @@
 //! * bits are stored packed, 64 per `u64` word, MSB first. Frequency is a
 //!   popcount, runs counting is an XOR against the shifted word, cusum
 //!   walks the words through a per-byte prefix-extreme table without
-//!   allocating, and the spectral test runs a real-input split FFT over a
-//!   caller-provided scratch buffer with per-size twiddle tables. The
+//!   allocating, and the spectral test runs a real-input split FFT. Its
+//!   twiddle tables live in one read-only [`FftTables`] array that serves
+//!   every transform size up to the largest and is shareable across
+//!   threads; its ping-pong buffers live in a per-thread [`FftScratch`]
+//!   that grows to the largest transform and is reused for every later
+//!   one; its spectrum reconstruction factors are regenerated block by
+//!   block instead of stored. The
 //!   statistics they feed into the p-value formulas (bit counts, run
 //!   counts, peak partial sums, below-threshold bin counts) are integers,
 //!   so the packed kernels reproduce the scalar `&[bool]` reference
@@ -140,17 +145,33 @@ impl BitSequence {
         (0..self.len).map(|i| self.bit(i)).collect()
     }
 
-    /// Runs one test, allocating spectral scratch internally.
+    /// Runs one test, building spectral tables and buffers internally
+    /// (only the spectral test needs them).
     pub fn run(&self, test: NistTest) -> NistOutcome {
-        self.run_with(test, &mut FftScratch::new())
+        let lengths = (test == NistTest::Fft).then_some(self.len);
+        self.run_with(
+            test,
+            &FftTables::for_lengths(lengths),
+            &mut FftScratch::new(),
+        )
     }
 
-    /// Runs one test reusing the caller's spectral scratch buffer.
-    pub fn run_with(&self, test: NistTest, scratch: &mut FftScratch) -> NistOutcome {
+    /// Runs one test over the caller's shared spectral tables and reusable
+    /// buffers.
+    ///
+    /// # Panics
+    /// If `test` is [`NistTest::Fft`] and `tables` was built for shorter
+    /// sequences only (see [`FftTables::for_lengths`]).
+    pub fn run_with(
+        &self,
+        test: NistTest,
+        tables: &FftTables,
+        scratch: &mut FftScratch,
+    ) -> NistOutcome {
         let p_value = match test {
             NistTest::Frequency => frequency_p(&self.words, self.len),
             NistTest::Runs => runs_p(&self.words, self.len),
-            NistTest::Fft => fft_p(&self.words, self.len, scratch),
+            NistTest::Fft => fft_p(&self.words, self.len, tables, scratch),
             NistTest::CusumForward => cusum_p(&self.words, self.len, false),
             NistTest::CusumBackward => cusum_p(&self.words, self.len, true),
         };
@@ -163,14 +184,15 @@ impl BitSequence {
 
     /// Runs all five tests.
     pub fn run_all(&self) -> Vec<NistOutcome> {
-        self.run_all_with(&mut FftScratch::new())
+        self.run_all_with(&FftTables::for_lengths([self.len]), &mut FftScratch::new())
     }
 
-    /// Runs all five tests reusing the caller's spectral scratch buffer.
-    pub fn run_all_with(&self, scratch: &mut FftScratch) -> Vec<NistOutcome> {
+    /// Runs all five tests over the caller's shared spectral tables and
+    /// reusable buffers (see [`BitSequence::run_with`]).
+    pub fn run_all_with(&self, tables: &FftTables, scratch: &mut FftScratch) -> Vec<NistOutcome> {
         NistTest::ALL
             .iter()
-            .map(|&t| self.run_with(t, scratch))
+            .map(|&t| self.run_with(t, tables, scratch))
             .collect()
     }
 }
@@ -246,19 +268,18 @@ fn runs_p(words: &[u64], len: usize) -> f64 {
 /// p-value depends only on the *count* of bins below the (irrational)
 /// threshold, so the ~1e-12 relative drift this reordering introduces in
 /// the magnitudes never reaches the p-value bits.
-fn fft_p(words: &[u64], len: usize, scratch: &mut FftScratch) -> f64 {
-    if len < 16 {
+fn fft_p(words: &[u64], len: usize, tables: &FftTables, scratch: &mut FftScratch) -> f64 {
+    let Some(m) = half_transform_len(len) else {
         return 0.0;
-    }
-    let n2 = 1usize << (usize::BITS - 1 - len.leading_zeros());
-    let m = n2 / 2;
+    };
+    let n2 = 2 * m;
+    assert!(
+        tables.re.len() + 1 >= m,
+        "FftTables built for sequences shorter than {len} bits"
+    );
     scratch.load_even_odd(words, n2);
     scratch.re2.resize(m, 0.0);
     scratch.im2.resize(m, 0.0);
-    let tables = scratch
-        .tables
-        .entry(m)
-        .or_insert_with(|| SizeTables::new(m));
     let in_first = stockham_fft(
         &mut scratch.re,
         &mut scratch.im,
@@ -277,12 +298,12 @@ fn fft_p(words: &[u64], len: usize, scratch: &mut FftScratch) -> f64 {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `wide_lanes_available` checked for AVX support.
         unsafe {
-            spectral_count_avx(re, im, &tables.recon_re, &tables.recon_im, threshold)
+            spectral_count_avx(re, im, threshold)
         }
         #[cfg(not(target_arch = "x86_64"))]
         unreachable!()
     } else {
-        spectral_count(re, im, &tables.recon_re, &tables.recon_im, threshold)
+        spectral_count(re, im, threshold)
     };
     let n1 = n1 as f64;
     let n0 = 0.95 * m as f64;
@@ -290,19 +311,72 @@ fn fft_p(words: &[u64], len: usize, scratch: &mut FftScratch) -> f64 {
     erfc(d.abs() / std::f64::consts::SQRT_2)
 }
 
-/// Reusable spectral-test scratch: ping-pong data buffers plus per-size
-/// twiddle tables (keyed by half-transform length, each built once).
+/// The spectral test's half-transform length for a `len`-bit sequence:
+/// half the largest power of two `≤ len`, or `None` below 16 bits (where
+/// the test fails without a transform).
+fn half_transform_len(len: usize) -> Option<usize> {
+    (len >= 16).then(|| 1usize << (usize::BITS - 2 - len.leading_zeros()))
+}
+
+/// Read-only spectral-test twiddle tables, shared by every thread that
+/// runs sequences through `&FftTables`.
+///
+/// The table for transform length `l` holds `e^{-2πij/l}` for `j < l/2`,
+/// packed at offset `l/2 - 1`, and is computed from `l` alone. So the
+/// tables for every length up to the largest one a set of sequences needs
+/// form one array, a smaller transform reads a prefix of it, and a
+/// sequence's p-values do not depend on which other sequences share it.
+#[derive(Debug)]
+pub struct FftTables {
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl FftTables {
+    /// Tables for sequences of up to the longest of `lengths` bits.
+    pub fn for_lengths(lengths: impl IntoIterator<Item = usize>) -> Self {
+        let m = lengths
+            .into_iter()
+            .filter_map(half_transform_len)
+            .max()
+            .unwrap_or(0);
+        Self::for_half_len(m)
+    }
+
+    /// Tables for transforms of up to `m` points.
+    fn for_half_len(m: usize) -> Self {
+        let mut t = FftTables {
+            re: vec![0.0; m.saturating_sub(1)],
+            im: vec![0.0; m.saturating_sub(1)],
+        };
+        // The table for length 2h is the reconstruction factors of a
+        // half-size-h transform.
+        let mut h = 1;
+        while 2 * h <= m {
+            let twiddles = Twiddles::new(h);
+            for k in (0..h).step_by(TWIDDLE_BLOCK) {
+                let block = h - 1 + k..h - 1 + (k + TWIDDLE_BLOCK).min(h);
+                twiddles.block(&mut t.re[block.clone()], &mut t.im[block], k);
+            }
+            h *= 2;
+        }
+        t
+    }
+}
+
+/// One thread's spectral-test ping-pong buffers. They grow to the largest
+/// transform run through them and are reused, not reallocated, for every
+/// later transform, so run the longest sequences first.
 #[derive(Debug, Default)]
 pub struct FftScratch {
     re: Vec<f64>,
     im: Vec<f64>,
     re2: Vec<f64>,
     im2: Vec<f64>,
-    tables: std::collections::BTreeMap<usize, SizeTables>,
 }
 
 impl FftScratch {
-    /// Empty scratch; buffers and tables grow on first use.
+    /// Empty scratch; the buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
     }
@@ -341,77 +415,45 @@ fn pm1(bit: u64) -> f64 {
     }
 }
 
-/// Twiddle tables for one half-transform size `m`: per-stage factors
-/// packed contiguously (`m - 1` entries across all stages) plus the
-/// `e^{-2πik/2m}` spectrum-reconstruction factors.
-#[derive(Debug)]
-struct SizeTables {
-    stage_re: Vec<f64>,
-    stage_im: Vec<f64>,
-    recon_re: Vec<f64>,
-    recon_im: Vec<f64>,
+/// Entries per twiddle block: each block restarts its recurrence from
+/// `sin_cos`, which keeps the accumulated error ~1 ulp.
+const TWIDDLE_BLOCK: usize = 32;
+
+/// The reconstruction factors `e^{-2πik/2m}` of half-transform size `m`
+/// (also the stage table for transform length `2m`), generated a block at
+/// a time.
+#[derive(Clone, Copy)]
+struct Twiddles {
+    ang: f64,
+    step_re: f64,
+    step_im: f64,
 }
 
-impl SizeTables {
+impl Twiddles {
     fn new(m: usize) -> Self {
-        debug_assert!(m.is_power_of_two());
-        let mut t = SizeTables {
-            stage_re: Vec::with_capacity(m.saturating_sub(1)),
-            stage_im: Vec::with_capacity(m.saturating_sub(1)),
-            recon_re: vec![0.0; m],
-            recon_im: vec![0.0; m],
-        };
-        fill_twiddles(
-            &mut t.recon_re,
-            &mut t.recon_im,
-            -std::f64::consts::TAU / (2 * m) as f64,
-        );
-        // Every stage factor is a reconstruction factor: e^{-2πij/len} =
-        // recon[j · 2m/len]. Derive the largest stage from recon and each
-        // smaller stage from the next larger one (stride-2 each time), so
-        // every copy streams instead of striding across the whole table.
-        if m >= 2 {
-            t.stage_re.resize(m - 1, 0.0);
-            t.stage_im.resize(m - 1, 0.0);
-            for j in 0..m / 2 {
-                t.stage_re[m / 2 - 1 + j] = t.recon_re[2 * j];
-                t.stage_im[m / 2 - 1 + j] = t.recon_im[2 * j];
-            }
-            let mut l = m;
-            while l >= 4 {
-                // The table for length l/2 (offset l/4 - 1) is every other
-                // entry of the table for length l (offset l/2 - 1).
-                let (lo_re, hi_re) = t.stage_re.split_at_mut(l / 2 - 1);
-                let (lo_im, hi_im) = t.stage_im.split_at_mut(l / 2 - 1);
-                for j in 0..l / 4 {
-                    lo_re[l / 4 - 1 + j] = hi_re[2 * j];
-                    lo_im[l / 4 - 1 + j] = hi_im[2 * j];
-                }
-                l /= 2;
-            }
+        let ang = -std::f64::consts::TAU / (2 * m) as f64;
+        let (step_im, step_re) = ang.sin_cos();
+        Twiddles {
+            ang,
+            step_re,
+            step_im,
         }
-        t
     }
-}
 
-/// Fills `re[k] + i·im[k] = e^{i·ang·k}` via the same complex-multiply
-/// recurrence the in-loop twiddle update used, resynchronized against
-/// `sin_cos` every 32 entries to keep the accumulated error ~1 ulp.
-fn fill_twiddles(re: &mut [f64], im: &mut [f64], ang: f64) {
-    let (w_im, w_re) = ang.sin_cos();
-    let mut k = 0;
-    while k < re.len() {
-        let (s, c) = (ang * k as f64).sin_cos();
+    /// Fills `re[j] + i·im[j]` with factor `k + j` (`k` a multiple of
+    /// [`TWIDDLE_BLOCK`], at most one block): `sin_cos` at `k`, then a
+    /// complex-multiply recurrence.
+    #[inline(always)]
+    fn block(self, re: &mut [f64], im: &mut [f64], k: usize) {
+        let (s, c) = (self.ang * k as f64).sin_cos();
         let (mut cur_re, mut cur_im) = (c, s);
-        let end = (k + 32).min(re.len());
-        for j in k..end {
-            re[j] = cur_re;
-            im[j] = cur_im;
-            let next_re = cur_re * w_re - cur_im * w_im;
-            cur_im = cur_re * w_im + cur_im * w_re;
+        for (r, i) in re.iter_mut().zip(im.iter_mut()) {
+            *r = cur_re;
+            *i = cur_im;
+            let next_re = cur_re * self.step_re - cur_im * self.step_im;
+            cur_im = cur_re * self.step_im + cur_im * self.step_re;
             cur_re = next_re;
         }
-        k = end;
     }
 }
 
@@ -419,9 +461,10 @@ fn fill_twiddles(re: &mut [f64], im: &mut [f64], ang: f64) {
 ///
 /// Builds its twiddle tables and ping-pong buffer on every call; hot paths
 /// that transform many sequences should go through
-/// [`BitSequence::run_with`]/[`FftScratch`], which cache both.
+/// [`BitSequence::run_with`], which takes shared [`FftTables`] and a
+/// reusable [`FftScratch`].
 pub fn fft_in_place(re: &mut [f64], im: &mut [f64]) {
-    let tables = SizeTables::new(re.len());
+    let tables = FftTables::for_half_len(re.len());
     let mut re2 = vec![0.0; re.len()];
     let mut im2 = vec![0.0; im.len()];
     if !stockham_fft(re, im, &mut re2, &mut im2, &tables) {
@@ -445,7 +488,7 @@ fn stockham_fft<'a>(
     mut x_im: &'a mut [f64],
     mut y_re: &'a mut [f64],
     mut y_im: &'a mut [f64],
-    tables: &SizeTables,
+    tables: &FftTables,
 ) -> bool {
     let n = x_re.len();
     debug_assert!(n.is_power_of_two());
@@ -459,10 +502,7 @@ fn stockham_fft<'a>(
         // The packed stage tables hold e^{-2πip/len} for len = 2, 4, ...,
         // so the table for length `len` starts at len/2 - 1.
         let toff = m - 1;
-        let (tr, ti) = (
-            &tables.stage_re[toff..toff + m],
-            &tables.stage_im[toff..toff + m],
-        );
+        let (tr, ti) = (&tables.re[toff..toff + m], &tables.im[toff..toff + m]);
         if wide {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `wide_lanes_available` checked for AVX support.
@@ -482,14 +522,8 @@ fn stockham_fft<'a>(
         let m = l / 4;
         let t1off = l / 2 - 1; // e^{-2πip/l}
         let t2off = l / 4 - 1; // e^{-2πip/(l/2)} = e^{-2πi·2p/l}
-        let (t1r, t1i) = (
-            &tables.stage_re[t1off..t1off + m],
-            &tables.stage_im[t1off..t1off + m],
-        );
-        let (t2r, t2i) = (
-            &tables.stage_re[t2off..t2off + m],
-            &tables.stage_im[t2off..t2off + m],
-        );
+        let (t1r, t1i) = (&tables.re[t1off..t1off + m], &tables.im[t1off..t1off + m]);
+        let (t2r, t2i) = (&tables.re[t2off..t2off + m], &tables.im[t2off..t2off + m]);
         if wide {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `wide_lanes_available` checked for AVX support.
@@ -511,22 +545,30 @@ fn stockham_fft<'a>(
 /// Reconstructs the first `n2/2` bins of the full real-input DFT from the
 /// half-size transform `Z` and counts magnitudes below `threshold`:
 /// `X[k] = E[k] + w^k · O[k]` with `E[k] = (Z[k] + conj(Z[m-k]))/2`,
-/// `O[k] = (Z[k] - conj(Z[m-k]))/(2i)` and `w = e^{-2πi/n2}`.
+/// `O[k] = (Z[k] - conj(Z[m-k]))/(2i)` and `w = e^{-2πi/n2}` (the
+/// factors `w^k` are regenerated per block, see [`Twiddles`]).
 #[inline(always)]
-fn spectral_count(re: &[f64], im: &[f64], recon_re: &[f64], recon_im: &[f64], t: f64) -> usize {
+fn spectral_count(re: &[f64], im: &[f64], t: f64) -> usize {
     let m = re.len();
+    let twiddles = Twiddles::new(m);
+    let (mut w_re, mut w_im) = ([0.0; TWIDDLE_BLOCK], [0.0; TWIDDLE_BLOCK]);
     let mut n1 = 0usize;
-    for k in 0..m {
-        let mk = (m - k) & (m - 1);
-        let (zr, zi) = (re[k], im[k]);
-        let (yr, yi) = (re[mk], -im[mk]);
-        let (er, ei) = ((zr + yr) / 2.0, (zi + yi) / 2.0);
-        let (or, oi) = ((zi - yi) / 2.0, -(zr - yr) / 2.0);
-        let (c, s) = (recon_re[k], recon_im[k]);
-        let xr = er + c * or - s * oi;
-        let xi = ei + c * oi + s * or;
-        if (xr * xr + xi * xi).sqrt() < t {
-            n1 += 1;
+    for k0 in (0..m).step_by(TWIDDLE_BLOCK) {
+        let len = TWIDDLE_BLOCK.min(m - k0);
+        twiddles.block(&mut w_re[..len], &mut w_im[..len], k0);
+        for j in 0..len {
+            let k = k0 + j;
+            let mk = (m - k) & (m - 1);
+            let (zr, zi) = (re[k], im[k]);
+            let (yr, yi) = (re[mk], -im[mk]);
+            let (er, ei) = ((zr + yr) / 2.0, (zi + yi) / 2.0);
+            let (or, oi) = ((zi - yi) / 2.0, -(zr - yr) / 2.0);
+            let (c, s) = (w_re[j], w_im[j]);
+            let xr = er + c * or - s * oi;
+            let xi = ei + c * oi + s * or;
+            if (xr * xr + xi * xi).sqrt() < t {
+                n1 += 1;
+            }
         }
     }
     n1
@@ -536,14 +578,8 @@ fn spectral_count(re: &[f64], im: &[f64], recon_re: &[f64], recon_im: &[f64], t:
 /// results (see [`wide_lanes_available`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn spectral_count_avx(
-    re: &[f64],
-    im: &[f64],
-    recon_re: &[f64],
-    recon_im: &[f64],
-    t: f64,
-) -> usize {
-    spectral_count(re, im, recon_re, recon_im, t)
+unsafe fn spectral_count_avx(re: &[f64], im: &[f64], t: f64) -> usize {
+    spectral_count(re, im, t)
 }
 
 /// Whether 256-bit float lanes are available at runtime. AVX widens the

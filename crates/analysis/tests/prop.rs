@@ -7,11 +7,11 @@ use proptest::prelude::*;
 use sixscope_analysis::addrtype::{classify, AddressType};
 use sixscope_analysis::autocorr::PeriodDetector;
 use sixscope_analysis::dbscan::{cluster_count, dbscan, dbscan_indexed, Assignment};
-use sixscope_analysis::nist::{BitSequence, NistTest};
+use sixscope_analysis::nist::{BitSequence, FftScratch, FftTables, NistTest};
 use sixscope_analysis::special::{erfc, normal_cdf};
 use sixscope_analysis::stats::{ecdf, percent_change, rank_descending};
 use sixscope_oracle::{autocorr, nist};
-use sixscope_types::SimTime;
+use sixscope_types::{SimTime, Xoshiro256pp};
 use std::net::Ipv6Addr;
 
 proptest! {
@@ -48,6 +48,74 @@ proptest! {
                 out.p_value,
                 want
             );
+        }
+    }
+
+    /// One `FftTables` shared by a shuffled batch of sequences, with one
+    /// `FftScratch` reused across them (buffers grown by a longer sequence,
+    /// then reused by a shorter one, and the reverse), gives every p-value
+    /// bit for bit as the naive references and as a fresh-scratch run.
+    /// Lengths sit at, just below, just above and between powers of two up
+    /// to 2^16 bits, and the first length always occurs twice, so some
+    /// sequences share a transform size and others straddle one.
+    #[test]
+    fn nist_shared_tables_match_reference_and_fresh_scratch(
+        specs in proptest::collection::vec((4u32..17, 0u8..4, any::<u64>()), 1..6),
+    ) {
+        let mut lens: Vec<usize> = specs
+            .iter()
+            .map(|&(k, kind, jitter)| {
+                let pow = 1usize << k;
+                let len = match kind {
+                    0 => pow - 1,
+                    1 => pow,
+                    2 => pow + 1,
+                    _ => pow + (jitter as usize) % pow,
+                };
+                len.min(1 << 16)
+            })
+            .collect();
+        lens.push(lens[0]);
+        let batch: Vec<BitSequence> = lens
+            .iter()
+            .zip(specs.iter().map(|s| s.2).chain([!specs[0].2]))
+            .map(|(&len, seed)| {
+                let mut rng = Xoshiro256pp::seed_from_u64(seed);
+                let mut seq = BitSequence::new();
+                for _ in 0..len / 64 {
+                    seq.push_bits(rng.next_u64() as u128, 64);
+                }
+                seq.push_bits(rng.next_u64() as u128 & ((1 << (len % 64)) - 1), (len % 64) as u32);
+                seq
+            })
+            .collect();
+        let tables = FftTables::for_lengths(lens.iter().copied());
+        let mut scratch = FftScratch::new();
+        for seq in &batch {
+            let bits = seq.to_bools();
+            let shared = seq.run_all_with(&tables, &mut scratch);
+            let fresh = seq.run_all();
+            for (out, alone) in shared.iter().zip(&fresh) {
+                let want = match out.test {
+                    NistTest::Frequency => nist::frequency_p(&bits),
+                    NistTest::Runs => nist::runs_p(&bits),
+                    NistTest::Fft => nist::fft_p(&bits),
+                    NistTest::CusumForward => nist::cusum_p(&bits, false),
+                    NistTest::CusumBackward => nist::cusum_p(&bits, true),
+                }
+                // `run_with` clamps the erfc overshoot; the references do not.
+                .clamp(0.0, 1.0);
+                prop_assert_eq!(
+                    out.p_value.to_bits(),
+                    want.to_bits(),
+                    "{:?} on {} bits: shared {} vs reference {}",
+                    out.test,
+                    seq.len(),
+                    out.p_value,
+                    want
+                );
+                prop_assert_eq!(out.p_value.to_bits(), alone.p_value.to_bits());
+            }
         }
     }
 

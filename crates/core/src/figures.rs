@@ -7,12 +7,10 @@ use crate::corpus::Analyzed;
 use crate::index::{ProfiledWindow, NO_ID};
 use sixscope_analysis::classify::{AddrSelection, TemporalClass};
 use sixscope_analysis::intersect::{TelescopeSet, UpSet};
-use sixscope_analysis::nist::{BitSequence, FftScratch, NistTest};
+use sixscope_analysis::nist::{BitSequence, FftScratch, FftTables, NistTest};
 use sixscope_analysis::stats::bucket_counts;
 use sixscope_telescope::{ScanSession, SourceKey, TelescopeId};
-use sixscope_types::{
-    chunk_ranges, map_indexed, nibble, num_threads, Ipv6Prefix, SimDuration, SimTime,
-};
+use sixscope_types::{map_indexed_with, nibble, num_threads, Ipv6Prefix, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Fig. 3: number of new /64 source prefixes first seen per week during
@@ -603,17 +601,18 @@ pub struct NistFigureCell {
 /// Fig. 17: NIST test outcomes for T1 sessions with ≥ 100 packets, testing
 /// the subnet bits (32 bits after the /32) and the IID separately.
 ///
-/// The per-session NIST work fans out through [`map_indexed`] over
-/// contiguous shards of the eligible-session list; each shard reuses one
-/// [`FftScratch`] (twiddle tables and FFT buffers survive across sessions).
-/// Cell counts are summed over disjoint session sets, so the merged totals
-/// are identical at any thread count and any shard layout.
+/// Each eligible session is one job. Jobs run longest-first (ties by
+/// session index) through [`map_indexed_with`], so the largest transforms
+/// start at once on separate workers instead of queueing behind each other.
+/// The spectral test's [`FftTables`] are built once, for the longest
+/// session, and shared by all workers; each worker reuses one
+/// [`FftScratch`] across its jobs, and both are dropped when this returns.
+/// Cell counts are sums over sessions, so they are identical at any thread
+/// count.
 pub fn fig17(a: &Analyzed) -> Vec<NistFigureCell> {
     let (sessions, profiles) = a.t1_split_profiles();
     let dst = &a.index.telescope(TelescopeId::T1).dst;
-    // Eligible sessions, in profile order (order only affects work layout;
-    // the additive merge below is order-free).
-    let jobs: Vec<(usize, TemporalClass)> = profiles
+    let mut jobs: Vec<(usize, TemporalClass)> = profiles
         .iter()
         .flat_map(|p| {
             p.session_indices
@@ -622,42 +621,40 @@ pub fn fig17(a: &Analyzed) -> Vec<NistFigureCell> {
                 .map(move |&idx| (idx, p.temporal))
         })
         .collect();
-    let threads = num_threads(None);
-    let shards = chunk_ranges(jobs.len(), threads);
-    type CellMap = BTreeMap<(NistTest, bool, TemporalClass), (u64, u64)>;
-    let built = map_indexed(threads, &shards, |_, r| {
-        let mut scratch = FftScratch::new();
-        let mut cells = CellMap::new();
-        for &(idx, temporal) in &jobs[r.clone()] {
-            let s = &sessions[idx];
+    jobs.sort_by_key(|&(idx, _)| (std::cmp::Reverse(sessions[idx].packet_count()), idx));
+    // The longest session's 64-bit IIDs need the largest transform.
+    let tables = FftTables::for_lengths(
+        jobs.first()
+            .map(|&(idx, _)| 64 * sessions[idx].packet_count()),
+    );
+    let outcomes = map_indexed_with(
+        num_threads(None),
+        &jobs,
+        FftScratch::new,
+        |scratch, _, &(idx, _)| {
             // Assemble both bit sequences from the destination column.
             let mut iid_bits = BitSequence::new();
             let mut subnet_bits = BitSequence::new();
-            for &pi in &s.packet_indices {
+            for &pi in &sessions[idx].packet_indices {
                 let bits = dst[pi as usize];
                 iid_bits.push_bits(bits & u64::MAX as u128, 64);
                 // The 32 bits after the fixed /32.
                 subnet_bits.push_bits((bits >> 64) & 0xffff_ffff, 32);
             }
-            for (seq, is_iid) in [(&iid_bits, true), (&subnet_bits, false)] {
-                for outcome in seq.run_all_with(&mut scratch) {
-                    let cell = cells.entry((outcome.test, is_iid, temporal)).or_default();
-                    if outcome.passes() {
-                        cell.0 += 1;
-                    } else {
-                        cell.1 += 1;
-                    }
+            [&iid_bits, &subnet_bits].map(|seq| seq.run_all_with(&tables, scratch))
+        },
+    );
+    let mut cells: BTreeMap<(NistTest, bool, TemporalClass), (u64, u64)> = BTreeMap::new();
+    for (&(_, temporal), [iid, subnet]) in jobs.iter().zip(outcomes) {
+        for (part, is_iid) in [(iid, true), (subnet, false)] {
+            for outcome in part {
+                let cell = cells.entry((outcome.test, is_iid, temporal)).or_default();
+                if outcome.passes() {
+                    cell.0 += 1;
+                } else {
+                    cell.1 += 1;
                 }
             }
-        }
-        cells
-    });
-    let mut cells = CellMap::new();
-    for shard in built {
-        for (key, (pass, fail)) in shard {
-            let cell = cells.entry(key).or_default();
-            cell.0 += pass;
-            cell.1 += fail;
         }
     }
     cells

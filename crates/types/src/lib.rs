@@ -7,8 +7,9 @@
 //! * [`trie::PrefixTrie`] — binary radix trie with longest-prefix match,
 //! * [`time::SimTime`] / [`time::SimDuration`] — simulated wall clock,
 //! * [`rng::Xoshiro256pp`] — deterministic, splittable PRNG,
-//! * [`parallel::map_indexed`] — order-preserving fork-join map behind the
-//!   parallel execution engine (byte-identical at any thread count),
+//! * [`parallel::map_indexed_with`] — order-preserving fork-join map (with
+//!   optional per-worker state) behind the parallel execution engine
+//!   (byte-identical at any thread count),
 //! * [`asn::Asn`] and network metadata used to label scan sources.
 //!
 //! Everything here is `std`-only and deterministic; the simulation and the
@@ -30,7 +31,7 @@ pub use addr::{iid, nibble, set_nibble, subnet_bits};
 pub use asn::{AsInfo, Asn, CountryCode, NetworkType};
 pub use error::TypeError;
 pub use intern::{FxBuildHasher, FxHasher, InternTable};
-pub use parallel::{chunk_ranges, map_indexed, num_threads, THREADS_ENV};
+pub use parallel::{chunk_ranges, map_indexed, map_indexed_with, num_threads, THREADS_ENV};
 pub use prefix::Ipv6Prefix;
 pub use rng::{SplitMix64, Xoshiro256pp};
 pub use time::{SimDuration, SimTime};

@@ -2,11 +2,13 @@
 //!
 //! The simulation's reproducibility contract is *byte-identical output at
 //! any thread count* (DESIGN.md §6). These helpers make that easy to uphold:
-//! [`map_indexed`] is an order-preserving parallel map — workers pull items
-//! off a shared counter (so uneven per-item cost balances automatically) but
-//! results are returned in input order, exactly as a serial `map` would
-//! produce them. All parallelism in sixscope funnels through here, and
-//! `threads == 1` degrades to a plain serial loop with no thread spawned.
+//! [`map_indexed_with`] is an order-preserving parallel map — workers pull
+//! items off a shared counter (so uneven per-item cost balances
+//! automatically) but results are returned in input order, exactly as a
+//! serial `map` would produce them — and [`map_indexed`] is the same map
+//! without per-worker state. All parallelism in sixscope funnels through
+//! that one fork-join, and `threads == 1` degrades to a plain serial loop
+//! with no thread spawned.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -37,10 +39,7 @@ pub fn num_threads(requested: Option<usize>) -> usize {
 /// Order-preserving parallel map: returns `f(0, &items[0]), f(1, &items[1]),
 /// …` in input order regardless of which worker computed what.
 ///
-/// Work distribution is dynamic (a shared atomic cursor), so wildly uneven
-/// per-item cost — a heavy-hitter scanner next to a one-off — still keeps
-/// every worker busy. With `threads <= 1` (or one item) no thread is
-/// spawned and the closure runs on the caller's stack.
+/// A thin wrapper over [`map_indexed_with`] with no per-worker state.
 ///
 /// # Panics
 /// Propagates a panic from any worker.
@@ -50,29 +49,53 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
+    map_indexed_with(threads, items, || (), |_, i, item| f(i, item))
+}
+
+/// Order-preserving parallel map with per-worker state: returns
+/// `f(&mut s, 0, &items[0]), f(&mut s, 1, &items[1]), …` in input order,
+/// where `s` is the state of whichever worker computed the item.
+///
+/// Work distribution is dynamic (a shared atomic cursor hands out items in
+/// input order), so wildly uneven per-item cost — a heavy-hitter scanner
+/// next to a one-off — still keeps every worker busy, and sorting `items`
+/// longest-first makes it a longest-processing-time schedule. Each worker
+/// calls `init` once, when it takes its first item, and reuses that state
+/// for every later item it takes; all states drop before this returns. With
+/// `threads <= 1` (or one item) no thread is spawned and everything runs on
+/// the caller's stack.
+///
+/// # Panics
+/// Propagates a panic from any worker.
+pub fn map_indexed_with<T, S, U, I, F>(threads: usize, items: &[T], init: I, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> U + Sync,
+{
     let workers = threads.min(items.len()).max(1);
     if workers == 1 {
+        let mut state = None;
         return items
             .iter()
             .enumerate()
-            .map(|(i, item)| f(i, item))
+            .map(|(i, item)| f(state.get_or_insert_with(&init), i, item))
             .collect();
     }
     let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut state = None;
+        let mut local = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            local.push((i, f(state.get_or_insert_with(&init), i, item)));
+        }
+        local
+    };
     let per_worker: Vec<Vec<(usize, U)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        local.push((i, f(i, item)));
-                    }
-                    local
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("parallel map worker panicked"))
@@ -147,6 +170,69 @@ mod tests {
             (0..spins).fold(x as u64, |acc, _| acc.wrapping_mul(31).wrapping_add(1))
         });
         assert_eq!(out, reference);
+    }
+
+    #[test]
+    fn map_indexed_with_preserves_order() {
+        let items: Vec<u64> = (0..500).collect();
+        let want: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
+        for threads in [1, 2, 8] {
+            let out =
+                map_indexed_with(threads, &items, Vec::new, |seen: &mut Vec<usize>, i, &x| {
+                    // Items reach one worker in ascending order.
+                    assert!(seen.last().is_none_or(|&last| last < i));
+                    seen.push(i);
+                    x * 3 + 1
+                });
+            assert_eq!(out, want, "order diverged at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn map_indexed_with_inits_at_most_once_per_worker() {
+        use std::collections::HashMap;
+        use std::sync::Mutex;
+        for (threads, len) in [(1, 0), (1, 50), (2, 1), (2, 50), (8, 3), (8, 50)] {
+            let items: Vec<usize> = (0..len).collect();
+            let inits = AtomicUsize::new(0);
+            let per_thread = Mutex::new(HashMap::new());
+            map_indexed_with(
+                threads,
+                &items,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    *per_thread
+                        .lock()
+                        .unwrap()
+                        .entry(std::thread::current().id())
+                        .or_insert(0) += 1;
+                },
+                |_, _, &x| x,
+            );
+            let inits = inits.into_inner();
+            assert!(
+                inits <= threads.min(len),
+                "{inits} inits at {threads} threads, {len} items"
+            );
+            assert_eq!(inits == 0, len == 0);
+            assert!(per_thread.into_inner().unwrap().values().all(|&n| n == 1));
+        }
+    }
+
+    #[test]
+    fn map_indexed_with_one_thread_spawns_nothing() {
+        let caller = std::thread::current().id();
+        let items: Vec<u32> = (0..20).collect();
+        let out = map_indexed_with(
+            1,
+            &items,
+            || assert_eq!(std::thread::current().id(), caller),
+            |_, _, &x| {
+                assert_eq!(std::thread::current().id(), caller);
+                x
+            },
+        );
+        assert_eq!(out, items);
     }
 
     #[test]
